@@ -112,8 +112,10 @@ bench:
 	$(CARGO) bench $(OFFLINE) --workspace
 
 # Event-wheel vs dense-drive wall clock (DESIGN.md §5h): writes
-# BENCH_core.json at the repo root and fails when any case's speedup
-# drops below 85% of the committed BENCH_baseline.json.
+# BENCH_core.json at the repo root with the wheel's work counters per
+# case, and fails when any case wakes on a refresh edge where the
+# controller then does nothing (an exact count, not a timing), or when
+# any case's speedup drops below 85% of the committed BENCH_baseline.json.
 bench-core:
 	MCR_BENCH_GATE=1 $(CARGO) bench $(OFFLINE) -q --bench wallclock_core
 

@@ -3,18 +3,23 @@
 //! Each case runs the same seeded config under the event wheel and under
 //! the dense reference drive (`System::set_skip_ahead(false)`), asserts
 //! the two [`mcr_dram::RunReport`]s are bit-identical, and records
-//! best-of-N ns per run plus the wheel-over-dense speedup. Results land in
+//! best-of-N ns per run plus the wheel-over-dense speedup, next to the
+//! wheel's deterministic work counters ([`mcr_dram::WheelStats`]: skip
+//! attempts, cycles skipped, wakes and futile wakes). Results land in
 //! `BENCH_core.json` at the repo root; the committed `BENCH_baseline.json`
 //! is the tracked trajectory.
 //!
 //! Knobs:
 //! - `MCR_BENCH_CORE_LEN`  — trace length per case (default 20_000).
 //! - `MCR_BLESS_BENCH=1`   — rewrite `BENCH_baseline.json` from this run.
-//! - `MCR_BENCH_GATE=1`    — fail when any case's speedup drops below
-//!   85% of its committed baseline (`make check` sets this).
+//! - `MCR_BENCH_GATE=1`    — fail when any case wakes futilely on a
+//!   refresh edge (exact, machine-independent), or when any case's
+//!   speedup drops below 85% of its committed baseline (`make check`
+//!   sets this).
 
 use mcr_bench::{header, timed};
-use mcr_dram::{McrMode, RunReport, System, SystemConfig};
+use mcr_dram::{McrMode, RunReport, System, SystemConfig, WheelStats};
+use mem_controller::EdgeSource;
 use std::path::{Path, PathBuf};
 use std::time::Instant;
 use trace_gen::{Suite, WorkloadProfile};
@@ -41,12 +46,31 @@ struct CaseResult {
     name: &'static str,
     wheel_ns: u64,
     dense_ns: u64,
+    wheel: WheelStats,
 }
 
 impl CaseResult {
     fn speedup(&self) -> f64 {
         self.dense_ns as f64 / self.wheel_ns as f64
     }
+
+    /// Futile wakes on the refresh release and quiesce edges, which the
+    /// edge fold reports only where a REFRESH or quiesce precharge can
+    /// issue.
+    fn futile_refresh(&self) -> u64 {
+        self.wheel.futile_from(EdgeSource::RefreshRelease)
+            + self.wheel.futile_from(EdgeSource::RefreshQuiesce)
+    }
+}
+
+/// The wheel's work counters for one run of `cfg`, checked against the
+/// timed runs' report.
+fn count_wheel(cfg: &SystemConfig, report: &RunReport) -> WheelStats {
+    let mut sys = System::build(cfg);
+    assert!(sys.run_until(u64::MAX), "counted run did not finish");
+    let stats = sys.wheel_stats().clone();
+    assert_eq!(&sys.report(), report, "counted run differs");
+    stats
 }
 
 /// Best-of-`ITERS` ns for a full run of `cfg` under one drive (the
@@ -79,12 +103,22 @@ fn run_case(name: &'static str, cfg: &SystemConfig) -> CaseResult {
         name,
         wheel_ns,
         dense_ns,
+        wheel: count_wheel(cfg, &wheel_report),
     };
     println!(
         "{name:<24} wheel {:>12} ns/run   dense {:>12} ns/run   speedup {:>6.2}x",
         out.wheel_ns,
         out.dense_ns,
         out.speedup()
+    );
+    println!(
+        "{:<24} attempts {:>9}   skipped {:>10} cycles   wakes {:>8}   futile {:>6} ({} on refresh edges)",
+        "",
+        out.wheel.attempts,
+        out.wheel.skipped_cycles,
+        out.wheel.total_wakes(),
+        out.wheel.total_futile(),
+        out.futile_refresh()
     );
     out
 }
@@ -95,11 +129,18 @@ fn to_json(results: &[CaseResult], len: usize) -> String {
     out.push_str(&format!("  \"trace_len\": {len},\n  \"benches\": [\n"));
     for (i, r) in results.iter().enumerate() {
         out.push_str(&format!(
-            "    {{\"name\": \"{}\", \"wheel_ns\": {}, \"dense_ns\": {}, \"speedup\": {:.3}}}{}\n",
+            "    {{\"name\": \"{}\", \"wheel_ns\": {}, \"dense_ns\": {}, \"speedup\": {:.3}, \
+             \"attempts\": {}, \"skipped_cycles\": {}, \"wakes\": {}, \"futile_wakes\": {}, \
+             \"futile_refresh_wakes\": {}}}{}\n",
             r.name,
             r.wheel_ns,
             r.dense_ns,
             r.speedup(),
+            r.wheel.attempts,
+            r.wheel.skipped_cycles,
+            r.wheel.total_wakes(),
+            r.wheel.total_futile(),
+            r.futile_refresh(),
             if i + 1 == results.len() { "" } else { "," }
         ));
     }
@@ -123,6 +164,24 @@ fn parse_baseline(text: &str) -> Vec<(String, f64)> {
             Some((name, speedup))
         })
         .collect()
+}
+
+/// Deterministic half of the gate: no case may wake on a refresh edge
+/// where the controller then does nothing.
+fn gate_futile_refresh(results: &[CaseResult]) {
+    let futile: Vec<_> = results
+        .iter()
+        .filter(|r| r.futile_refresh() > 0)
+        .map(|r| (r.name, r.futile_refresh()))
+        .collect();
+    println!(
+        "[gate] futile refresh wakes: {}",
+        if futile.is_empty() { "none" } else { "FOUND" }
+    );
+    assert!(
+        futile.is_empty(),
+        "futile RefreshRelease/RefreshQuiesce wakes (case, count): {futile:?}"
+    );
 }
 
 fn gate(results: &[CaseResult], baseline_path: &Path) {
@@ -214,6 +273,7 @@ fn main() {
             println!("blessed {}", baseline.display());
         }
         if std::env::var_os("MCR_BENCH_GATE").is_some_and(|v| v == "1") {
+            gate_futile_refresh(&results);
             gate(&results, &baseline);
         }
     });

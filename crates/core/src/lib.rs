@@ -79,6 +79,7 @@ pub mod sweep;
 mod system;
 mod telemetry;
 mod timing;
+mod wheel;
 
 pub use alloc::RowRemapper;
 pub use backend::{
@@ -100,6 +101,7 @@ pub use sweep::{
 };
 pub use system::{ConfigError, MappingKind, ReliabilityReport, RunReport, System, SystemConfig};
 pub use telemetry::{BankCommandCounts, Telemetry};
+pub use wheel::WheelStats;
 // Fault-injection surface, re-exported so experiment drivers need only
 // this crate: the seeded plan and the guardband vocabulary it trips.
 pub use mcr_faults::FaultPlan;

@@ -8,6 +8,7 @@ use crate::mechanisms::Mechanisms;
 use crate::mode::McrMode;
 use crate::policy::McrPolicy;
 use crate::telemetry::Telemetry;
+use crate::wheel::WheelStats;
 use circuit_model::{CircuitParams, LeakageModel, TimingSolver};
 use cpu_model::{Core, CoreParams, CoreWait, RequestSink, TraceRecord, CPU_PER_MEM_CYCLE};
 use dram_device::{Cycle, Geometry, PhysAddr, RefreshWiring, RetentionConfig, TimingSet, T_CK_NS};
@@ -16,8 +17,8 @@ use mcr_faults::FaultPlan;
 use mcr_telemetry::TraceSink;
 use mem_controller::{
     AddressMapper, BitReversal, ControllerConfig, ControllerStats, DegradeLevel, DevicePolicy,
-    GuardbandConfig, GuardbandTransition, MemoryController, PageInterleave, PermutationInterleave,
-    RowPolicy, SchedulerKind,
+    EdgeInfo, EdgeSource, GuardbandConfig, GuardbandTransition, MemoryController, PageInterleave,
+    PermutationInterleave, RowPolicy, SchedulerKind,
 };
 use trace_gen::{hot_rows, workload, TraceGenerator, WorkloadProfile, ROW_BYTES};
 
@@ -711,6 +712,14 @@ pub struct System {
     /// execution (the reference drive the equivalence suite compares
     /// against).
     skip_ahead: bool,
+    /// Event-wheel work counters.
+    wheel: WheelStats,
+    /// Controller edge the last jump landed on, credited as a wake (and
+    /// checked for futility) by the next executed cycle.
+    pending_wake: Option<EdgeSource>,
+    /// Per-core "fetching through a trace gap" flags of the current
+    /// compute-span attempt (reused scratch, one entry per core).
+    span_compute: Vec<bool>,
 }
 
 impl std::fmt::Debug for System {
@@ -945,6 +954,9 @@ impl System {
             mapper: config.make_mapper(),
             per_core_reads: vec![(0, 0); n_cores],
             skip_ahead: true,
+            wheel: WheelStats::default(),
+            pending_wake: None,
+            span_compute: vec![false; n_cores],
         })
     }
 
@@ -971,6 +983,13 @@ impl System {
         self.skip_ahead = enabled;
     }
 
+    /// Event-wheel work counters accumulated so far (all zero wakes under
+    /// the dense drive). Read them before [`System::report`], which
+    /// consumes the system.
+    pub fn wheel_stats(&self) -> &WheelStats {
+        &self.wheel
+    }
+
     /// Simulates exactly one memory cycle (controller tick, completion
     /// dispatch, guardband MRS application, four CPU subcycles) and
     /// advances `mem_now`. Returns `true` when the cycle was fully
@@ -986,6 +1005,12 @@ impl System {
             slot.0 += c.latency;
             slot.1 += 1;
             self.cores[c.core_id as usize].complete_read(c.token, c.ready_at * CPU_PER_MEM_CYCLE);
+        }
+        // Judge a wake on the controller's own tick, before the cores'
+        // enqueues of this cycle count as activity.
+        self.wheel.dense_cycles += 1;
+        if let Some(source) = self.pending_wake.take() {
+            self.wheel.note_wake(source, self.controller.had_activity());
         }
         self.apply_guardband_transitions();
         for sub in 0..CPU_PER_MEM_CYCLE {
@@ -1041,7 +1066,7 @@ impl System {
         // Edges are computed relative to the cycle just executed; only
         // strictly-future edges count.
         let now = self.mem_now - 1;
-        let mut edge = self.controller.next_event(now);
+        let mut core_edge: Option<Cycle> = None;
         for core in &self.cores {
             if let CoreWait::Stalled {
                 retire_at: Some(t), ..
@@ -1051,21 +1076,42 @@ impl System {
                 // densely.
                 let mem = t / CPU_PER_MEM_CYCLE;
                 if mem > now {
-                    edge = Some(edge.map_or(mem, |e| e.min(mem)));
+                    core_edge = Some(core_edge.map_or(mem, |e| e.min(mem)));
                 }
             }
         }
-        let Some(edge) = edge else { return };
+        self.wheel.attempts += 1;
+        let ctl = self.controller.next_event_detail(now);
+        let Some(edge) = ctl.map(|e| e.cycle).into_iter().chain(core_edge).min() else {
+            return;
+        };
         let target = edge.max(self.mem_now).min(until);
-        let skipped = target.saturating_sub(self.mem_now);
+        let skipped = self.account_jump(target, ctl, core_edge.map_or(until, |c| c.min(until)));
         if skipped == 0 {
             return;
         }
-        self.controller.note_skipped_cycles(skipped);
         for core in &mut self.cores {
             core.note_skipped_cycles(skipped * CPU_PER_MEM_CYCLE);
         }
         self.mem_now = target;
+    }
+
+    /// Bookkeeping shared by both jumps to `target`: bulk-replays the
+    /// skipped cycles into the controller, counts them, and arms the wake
+    /// credit when the controller edge `ctl` alone (strictly before
+    /// `other_bound`) set the target. Returns the cycles skipped; the
+    /// caller advances the cores and `mem_now` when it is nonzero.
+    fn account_jump(&mut self, target: Cycle, ctl: Option<EdgeInfo>, other_bound: Cycle) -> Cycle {
+        let skipped = target.saturating_sub(self.mem_now);
+        if skipped == 0 {
+            return 0;
+        }
+        self.controller.note_skipped_cycles(skipped);
+        self.wheel.skipped_cycles += skipped;
+        self.pending_wake = ctl
+            .filter(|e| e.cycle == target && e.cycle < other_bound)
+            .map(|e| e.source);
+        skipped
     }
 
     /// The compute-span counterpart of [`System::skip_to_next_edge`]: the
@@ -1083,10 +1129,12 @@ impl System {
     fn skip_compute_span(&mut self, until: Cycle) {
         let now = self.mem_now - 1;
         let mut span_cpu = Cycle::MAX;
+        let mut retire_edge: Option<Cycle> = None;
         let mut any_compute = false;
-        for core in &self.cores {
+        for (core, compute) in self.cores.iter().zip(&mut self.span_compute) {
             let safe = core.compute_quiet_cycles();
-            if safe > 0 {
+            *compute = safe > 0;
+            if *compute {
                 any_compute = true;
                 span_cpu = span_cpu.min(safe);
                 continue;
@@ -1094,12 +1142,21 @@ impl System {
             match core.wait_hint() {
                 CoreWait::Done => {}
                 CoreWait::Active => return,
-                CoreWait::Stalled { queue_retry, .. } => {
+                CoreWait::Stalled {
+                    retire_at,
+                    queue_retry,
+                } => {
                     // Same exclusion as `cores_quiet`: cache-routed
-                    // enqueue retries must keep executing densely. The
-                    // retire edge is folded in below.
+                    // enqueue retries must keep executing densely.
                     if queue_retry && self.cache.is_some() {
                         return;
+                    }
+                    // The retire cycle itself must execute densely (the
+                    // core resumes fetching there); a due retire
+                    // collapses the span to nothing.
+                    if let Some(t) = retire_at {
+                        let mem = t / CPU_PER_MEM_CYCLE;
+                        retire_edge = Some(retire_edge.map_or(mem, |e| e.min(mem)));
                     }
                 }
             }
@@ -1108,32 +1165,18 @@ impl System {
         if !any_compute || span_mem == 0 {
             return;
         }
-        let mut target = self.mem_now.saturating_add(span_mem).min(until);
-        if let Some(e) = self.controller.next_event(now) {
-            target = target.min(e);
-        }
-        for core in &self.cores {
-            if core.compute_quiet_cycles() > 0 {
-                continue;
-            }
-            if let CoreWait::Stalled {
-                retire_at: Some(t), ..
-            } = core.wait_hint()
-            {
-                // The retire cycle itself must execute densely (the core
-                // resumes fetching there); a due retire collapses the
-                // span to nothing.
-                target = target.min(t / CPU_PER_MEM_CYCLE);
-            }
-        }
-        let skipped = target.saturating_sub(self.mem_now);
+        let span_end = self.mem_now.saturating_add(span_mem).min(until);
+        let bound = retire_edge.map_or(span_end, |r| r.min(span_end));
+        self.wheel.attempts += 1;
+        let ctl = self.controller.next_event_detail(now);
+        let target = ctl.map_or(bound, |e| e.cycle.min(bound));
+        let skipped = self.account_jump(target, ctl, bound);
         if skipped == 0 {
             return;
         }
-        self.controller.note_skipped_cycles(skipped);
         let start_cpu = self.mem_now * CPU_PER_MEM_CYCLE;
-        for core in &mut self.cores {
-            if core.compute_quiet_cycles() > 0 {
+        for (core, &compute) in self.cores.iter_mut().zip(&self.span_compute) {
+            if compute {
                 core.advance_compute(start_cpu, skipped * CPU_PER_MEM_CYCLE);
             } else {
                 core.note_skipped_cycles(skipped * CPU_PER_MEM_CYCLE);

@@ -133,6 +133,17 @@ pub enum EdgeSource {
     PowerdownRetry,
 }
 
+impl EdgeSource {
+    /// Number of edge sources (the last variant's index plus one).
+    pub const COUNT: usize = EdgeSource::PowerdownRetry as usize + 1;
+
+    /// Dense index of this source in `0..COUNT` (declaration order), for
+    /// per-source counter arrays.
+    pub fn index(self) -> usize {
+        self as usize
+    }
+}
+
 /// One wake-up edge: the cycle and the computation that claimed it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct EdgeInfo {
@@ -140,6 +151,40 @@ pub struct EdgeInfo {
     pub cycle: Cycle,
     /// The edge source that produced `cycle`.
     pub source: EdgeSource,
+}
+
+/// True when cycle `c` comes strictly before `bound` (`None`: never).
+fn before(c: Cycle, bound: Option<Cycle>) -> bool {
+    bound.is_none_or(|b| c < b)
+}
+
+/// The edge fold's model of one FR-FCFS pass. A pass picks the oldest
+/// request whose *pick* cycle has come and then issues only if that
+/// request's command is legal, so a request can act only while no older
+/// request of the pass is picked. Requests are offered in queue order.
+#[derive(Default)]
+struct PassEdge {
+    /// Earliest pick cycle over the requests offered so far: from then
+    /// on the pass always picks one of them.
+    picks_from: Option<Cycle>,
+    /// Earliest cycle after `now` at which an offered request can issue.
+    edge: Option<Cycle>,
+}
+
+impl PassEdge {
+    /// Offers the next request: the pass picks it from `pick` on, and
+    /// `issue` yields the cycle its command becomes legal (never before
+    /// `pick`; `None` when the pass would refuse it).
+    fn offer(&mut self, now: Cycle, pick: Cycle, issue: impl FnOnce() -> Option<Cycle>) {
+        if before(pick, self.picks_from) && before(pick, self.edge) {
+            if let Some(c) =
+                issue().filter(|&c| c > now && before(c, self.picks_from) && before(c, self.edge))
+            {
+                self.edge = Some(c);
+            }
+        }
+        self.picks_from = Some(self.picks_from.map_or(pick, |p| p.min(pick)));
+    }
 }
 
 /// Per-channel controller state.
@@ -509,18 +554,22 @@ impl MemoryController {
     }
 
     /// Earliest cycle strictly after `now` at which a quiet controller can
-    /// next do work: command legality for every queued request (including
-    /// the shared data bus), completion delivery, refresh-slot deadlines
-    /// and backlog release, power-down thresholds and pending entries, and
+    /// next do work: command legality for the queued requests the
+    /// scheduler would serve (including the shared data bus), completion
+    /// delivery, refresh-slot deadlines, backlog release and quiesce
+    /// precharges, power-down thresholds and pending entries, and
     /// guardband re-arms. Returns `None` when no such edge exists (e.g. a
     /// fully idle controller).
     ///
-    /// Edges may be conservative (a wake where nothing issues is a
-    /// harmless no-op tick) but are never late: every state change a
-    /// quiet controller can undergo happens at or after the reported
-    /// cycle. The per-rank refresh deadline is always included — a
-    /// late-refresh fault stamps its release relative to the cycle the
-    /// slot is observed, so jumping past a deadline would change behavior.
+    /// Edges are never late: every state change a quiet controller can
+    /// undergo happens at or after the reported cycle. Each term also
+    /// mirrors the scheduler's own selection rules, so the controller can
+    /// act at the reported cycle; a wake where it then does nothing still
+    /// costs a dense tick and another edge scan, and the event wheel
+    /// counts such futile wakes. The per-rank refresh deadline is always
+    /// included — a late-refresh fault stamps its release relative to the
+    /// cycle the slot is observed, so jumping past a deadline would change
+    /// behavior.
     pub fn next_event(&self, now: Cycle) -> Option<Cycle> {
         self.next_event_detail(now).map(|e| e.cycle)
     }
@@ -546,17 +595,25 @@ impl MemoryController {
             if let Some(&Reverse((ready, ..))) = ch.completions.peek() {
                 note(ready, EdgeSource::Completion);
             }
+            let urgent = |rank: u8| self.config.refresh_enabled && ch.refresh.urgent(rank);
             if self.config.refresh_enabled {
                 for rank in 0..self.geometry.ranks {
                     note(ch.refresh.next_due(rank), EdgeSource::RefreshDue);
-                    if ch.refresh.backlog(rank) > 0 {
-                        if let Some(p) = ch.refresh.peek(rank) {
-                            note(p.not_before, EdgeSource::RefreshRelease);
-                        }
-                        note(ch.chan.next_refresh_cycle(rank), EdgeSource::RefreshRelease);
-                        // An urgent rank quiesces by precharging its open
-                        // banks before the REFRESH can issue; each of
-                        // those precharges is an edge of its own.
+                    let Some(p) = ch.refresh.peek(rank) else {
+                        continue;
+                    };
+                    if ch.chan.rank(rank).all_idle() {
+                        // A REFRESH needs every bank closed, its release
+                        // cycle passed and the rank's tRP/tRFC recovered.
+                        note(
+                            p.not_before.max(ch.chan.next_refresh_cycle(rank)),
+                            EdgeSource::RefreshRelease,
+                        );
+                    } else if urgent(rank) {
+                        // Open banks block the REFRESH (`RankNotIdle`)
+                        // until someone closes them, and only an urgent
+                        // rank precharges for it: one open bank per
+                        // cycle, as soon as any precharge is legal.
                         for bank in 0..self.geometry.banks {
                             if ch.chan.open_row(rank, bank).is_some() {
                                 note(
@@ -568,52 +625,111 @@ impl MemoryController {
                     }
                 }
             }
-            // Command legality for the queue the scheduler is serving.
-            // Drain mode cannot flip during a quiet span (queue lengths
-            // only change on active cycles), so the selection is stable.
+            // Command legality for the queue the scheduler is serving,
+            // mirroring its selection rules: requests to an urgent rank
+            // are never served, FCFS serves only the oldest request, and
+            // FR-FCFS runs the passes of `schedule_fr_fcfs`. Drain mode
+            // and urgency cannot flip during a quiet span (queue lengths
+            // and backlogs only change on active cycles or at a reported
+            // `RefreshDue`), so the selection is stable.
             let drain = ch.draining || (ch.read_q.is_empty() && !ch.write_q.is_empty());
             let q = if drain { &ch.write_q } else { &ch.read_q };
             let is_read = !drain;
-            for r in q {
-                let (rank, bank, row) = (r.dram.rank, r.dram.bank, r.dram.row);
-                match ch.chan.open_row(rank, bank) {
-                    Some(open) if open == row => note(
-                        ch.chan
-                            .next_cas_cycle(rank, bank, is_read)
-                            .max(ch.chan.next_bus_cas_cycle(rank, is_read)),
-                        EdgeSource::QueueCas,
-                    ),
-                    Some(_) => note(
-                        ch.chan.next_precharge_cycle(rank, bank),
-                        EdgeSource::QueuePrecharge,
-                    ),
-                    None => note(
-                        ch.chan.next_activate_cycle(rank, bank),
-                        EdgeSource::QueueActivate,
-                    ),
+            let mut served = q.iter().filter(|r| !urgent(r.dram.rank));
+            match self.config.scheduler {
+                SchedulerKind::Fcfs => {
+                    if let Some(r) = served.next() {
+                        let (rank, bank, row) = (r.dram.rank, r.dram.bank, r.dram.row);
+                        match ch.chan.open_row(rank, bank) {
+                            Some(open) if open == row => note(
+                                ch.chan
+                                    .next_cas_cycle(rank, bank, is_read)
+                                    .max(ch.chan.next_bus_cas_cycle(rank, is_read)),
+                                EdgeSource::QueueCas,
+                            ),
+                            Some(_) => note(
+                                ch.chan.next_precharge_cycle(rank, bank),
+                                EdgeSource::QueuePrecharge,
+                            ),
+                            None => note(
+                                ch.chan.next_activate_cycle(rank, bank),
+                                EdgeSource::QueueActivate,
+                            ),
+                        }
+                    }
+                }
+                SchedulerKind::FrFcfs => {
+                    let (mut hit, mut act, mut pre) = (
+                        PassEdge::default(),
+                        PassEdge::default(),
+                        PassEdge::default(),
+                    );
+                    for r in served {
+                        let (rank, bank) = (r.dram.rank, r.dram.bank);
+                        match ch.chan.open_row(rank, bank) {
+                            Some(open) if open == r.dram.row => {
+                                // Pass 1 picks on bank/rank CAS timing
+                                // alone; a busy data bus then refuses it.
+                                let cas = ch.chan.next_cas_cycle(rank, bank, is_read);
+                                hit.offer(now, cas, || {
+                                    Some(cas.max(ch.chan.next_bus_cas_cycle(rank, is_read)))
+                                });
+                            }
+                            Some(open) => {
+                                // Pass 3 never closes a row that still has
+                                // a pending hit in the active queue.
+                                let legal = ch.chan.next_precharge_cycle(rank, bank);
+                                pre.offer(now, legal, || {
+                                    let pending_hit = q.iter().any(|o| {
+                                        o.dram.rank == rank
+                                            && o.dram.bank == bank
+                                            && o.dram.row == open
+                                    });
+                                    (!pending_hit).then_some(legal)
+                                });
+                            }
+                            None => {
+                                let legal = ch.chan.next_activate_cycle(rank, bank);
+                                act.offer(now, legal, || Some(legal));
+                            }
+                        }
+                    }
+                    // A later pass only runs while every earlier one picks
+                    // nothing.
+                    if let Some(c) = hit.edge {
+                        note(c, EdgeSource::QueueCas);
+                    }
+                    if let Some(c) = act.edge.filter(|&c| before(c, hit.picks_from)) {
+                        note(c, EdgeSource::QueueActivate);
+                    }
+                    let shadow = hit.picks_from.into_iter().chain(act.picks_from).min();
+                    if let Some(c) = pre.edge.filter(|&c| before(c, shadow)) {
+                        note(c, EdgeSource::QueuePrecharge);
+                    }
                 }
             }
             if let Some(threshold) = self.config.powerdown_idle_threshold {
                 for rank in 0..self.geometry.ranks {
-                    if let Some(since) = ch.rank_idle_since[rank as usize] {
-                        let due = since.saturating_add(threshold as Cycle);
-                        note(due, EdgeSource::PowerdownDue);
-                        if due <= now {
-                            // Entry is pending: it retries as soon as the
-                            // rank finishes refreshing, and open banks
-                            // still need power-down precharges.
-                            note(
-                                ch.chan.rank(rank).refresh_busy_until(),
-                                EdgeSource::PowerdownRetry,
-                            );
-                            for bank in 0..self.geometry.banks {
-                                if ch.chan.open_row(rank, bank).is_some() {
-                                    note(
-                                        ch.chan.next_precharge_cycle(rank, bank),
-                                        EdgeSource::PowerdownRetry,
-                                    );
-                                }
-                            }
+                    let Some(since) = ch.rank_idle_since[rank as usize] else {
+                        continue;
+                    };
+                    // Entry needs the idle threshold crossed, every bank
+                    // closed and any REFRESH finished; until the banks
+                    // are closed, `schedule` step 4 precharges them.
+                    let due = since.saturating_add(threshold as Cycle);
+                    let source = if due > now {
+                        EdgeSource::PowerdownDue
+                    } else {
+                        EdgeSource::PowerdownRetry
+                    };
+                    let r = ch.chan.rank(rank);
+                    if r.all_idle() {
+                        note(due.max(r.refresh_busy_until()), source);
+                        continue;
+                    }
+                    for bank in 0..self.geometry.banks {
+                        if ch.chan.open_row(rank, bank).is_some() {
+                            note(due.max(ch.chan.next_precharge_cycle(rank, bank)), source);
                         }
                     }
                 }

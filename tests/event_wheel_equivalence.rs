@@ -10,13 +10,17 @@
 //! missing or late wheel edge, never a tolerance question.
 
 use mcr_dram::{FaultPlan, McrMode, RunReport, System, SystemConfig};
-use mem_controller::{RowPolicy, SchedulerKind};
+use mem_controller::{EdgeSource, RowPolicy, SchedulerKind};
 use trace_gen::multi_programmed_mixes;
 
 const LEN: usize = 8_000;
 
 fn mode(m: u32, k: u32) -> McrMode {
-    McrMode::new(m, k, 1.0).expect("valid Table 1 mode")
+    mode_at(m, k, 1.0)
+}
+
+fn mode_at(m: u32, k: u32, region: f64) -> McrMode {
+    McrMode::new(m, k, region).expect("valid Table 1 mode")
 }
 
 /// Runs `cfg` under the event wheel and under the dense reference drive;
@@ -100,6 +104,81 @@ fn multi_core_mix_is_wheel_identical() {
     let mixes = multi_programmed_mixes(2015);
     let cfg = SystemConfig::multi_core(mixes[0].cores, 2_000).with_mode(McrMode::headline());
     assert_identical(mixes[0].name, &cfg);
+}
+
+#[test]
+fn idle_sweep_shape_is_wheel_identical() {
+    // Low-MPKI profiles with rank power-down armed: most cycles are
+    // skipped, and refresh release/quiesce edges end many of the jumps.
+    for workload in ["black", "face"] {
+        for (label, m) in [("1/2x/100", mode(1, 2)), ("1/4x/50", mode_at(1, 4, 0.5))] {
+            let cfg = SystemConfig::single_core(workload, 6_000)
+                .with_mode(m)
+                .with_powerdown(64)
+                .with_seed(1);
+            assert_identical(&format!("{workload} {label} pd64"), &cfg);
+        }
+    }
+}
+
+#[test]
+fn loaded_quad_core_mix_is_wheel_identical() {
+    let mixes = multi_programmed_mixes(2015);
+    let mix01 = mixes
+        .iter()
+        .find(|m| m.name == "mix01")
+        .expect("mix01 is built in");
+    let cfg = SystemConfig::multi_core_mix(mix01, 4_000)
+        .with_mode(mode(4, 4))
+        .with_seed(1);
+    assert_identical("mix01 4/4x/100", &cfg);
+}
+
+#[test]
+fn wheel_wakes_only_where_the_controller_acts() {
+    let cfg = SystemConfig::single_core("black", 10_000)
+        .with_mode(mode(1, 2))
+        .with_powerdown(64);
+    let mut wheel = System::build(&cfg);
+    assert!(wheel.run_until(u64::MAX), "wheel run did not finish");
+    let stats = wheel.wheel_stats().clone();
+    let report = wheel.report();
+    assert_eq!(
+        report,
+        System::build(&cfg).run(),
+        "counting perturbed the run"
+    );
+    assert_eq!(
+        stats.dense_cycles + stats.skipped_cycles,
+        report.total_mem_cycles,
+        "every cycle is either executed or skipped"
+    );
+    // The refresh terms only report edges a REFRESH or quiesce precharge
+    // can actually issue at.
+    assert!(
+        stats.wakes_from(EdgeSource::RefreshRelease) > 0,
+        "{stats:?}"
+    );
+    for source in [EdgeSource::RefreshRelease, EdgeSource::RefreshQuiesce] {
+        assert_eq!(
+            stats.futile_from(source),
+            0,
+            "futile {source:?} wakes: {stats:?}"
+        );
+    }
+    assert!(
+        stats.total_futile() * 100 < stats.total_wakes(),
+        "futile wakes {} of {}",
+        stats.total_futile(),
+        stats.total_wakes()
+    );
+
+    let mut dense = System::build(&cfg);
+    dense.set_skip_ahead(false);
+    assert!(dense.run_until(u64::MAX));
+    let d = dense.wheel_stats();
+    assert_eq!((d.attempts, d.skipped_cycles, d.total_wakes()), (0, 0, 0));
+    assert_eq!(d.dense_cycles, report.total_mem_cycles);
 }
 
 #[test]
