@@ -4,8 +4,9 @@
 //! the dense reference drive (`System::set_skip_ahead(false)`), asserts
 //! the two [`mcr_dram::RunReport`]s are bit-identical, and records
 //! best-of-N ns per run plus the wheel-over-dense speedup, next to the
-//! wheel's deterministic work counters ([`mcr_dram::WheelStats`]: skip
-//! attempts, cycles skipped, wakes and futile wakes). Results land in
+//! wheel's deterministic work counters ([`mcr_dram::WheelStats`]: dense
+//! cycles, skip attempts (empty ones and ones after an active but settled
+//! cycle), cycles skipped, wakes, futile wakes and batched core cycles). Results land in
 //! `BENCH_core.json` at the repo root; the committed `BENCH_baseline.json`
 //! is the tracked trajectory.
 //!
@@ -120,6 +121,14 @@ fn run_case(name: &'static str, cfg: &SystemConfig) -> CaseResult {
         out.wheel.total_futile(),
         out.futile_refresh()
     );
+    println!(
+        "{:<24} dense {:>9} cycles   empty attempts {:>9}   settled attempts {:>9}   batched {:>10} core cycles",
+        "",
+        out.wheel.dense_cycles,
+        out.wheel.empty_attempts,
+        out.wheel.settled_attempts,
+        out.wheel.batched_core_cycles
+    );
     out
 }
 
@@ -130,17 +139,22 @@ fn to_json(results: &[CaseResult], len: usize) -> String {
     for (i, r) in results.iter().enumerate() {
         out.push_str(&format!(
             "    {{\"name\": \"{}\", \"wheel_ns\": {}, \"dense_ns\": {}, \"speedup\": {:.3}, \
-             \"attempts\": {}, \"skipped_cycles\": {}, \"wakes\": {}, \"futile_wakes\": {}, \
-             \"futile_refresh_wakes\": {}}}{}\n",
+             \"dense_cycles\": {}, \"attempts\": {}, \"empty_attempts\": {}, \
+             \"settled_attempts\": {}, \"skipped_cycles\": {}, \"wakes\": {}, \"futile_wakes\": {}, \
+             \"futile_refresh_wakes\": {}, \"batched_core_cycles\": {}}}{}\n",
             r.name,
             r.wheel_ns,
             r.dense_ns,
             r.speedup(),
+            r.wheel.dense_cycles,
             r.wheel.attempts,
+            r.wheel.empty_attempts,
+            r.wheel.settled_attempts,
             r.wheel.skipped_cycles,
             r.wheel.total_wakes(),
             r.wheel.total_futile(),
             r.futile_refresh(),
+            r.wheel.batched_core_cycles,
             if i + 1 == results.len() { "" } else { "," }
         ));
     }

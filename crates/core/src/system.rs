@@ -691,13 +691,16 @@ impl RunReport {
 /// # Event-wheel core
 ///
 /// Internally the simulator is an event wheel (DESIGN.md §5h): after any
-/// fully *quiet* cycle — the controller reported no observable work and
-/// every live core is stalled — the wheel jumps `mem_now` directly to the
-/// earliest timing edge any component exposes (next command-legal cycle,
-/// refresh deadline, completion delivery, power-down expiry, guardband
-/// re-arm, core retire). Skipped cycles are bulk-accounted so reports and
-/// telemetry stay *bit-identical* to cycle-by-cycle execution; the
-/// equivalence suite in `tests/event_wheel_equivalence.rs` pins this, and
+/// *settled* cycle — the controller has no state change pending beyond
+/// its reported edges ([`MemoryController::settled`]) and every live core
+/// is stalled — the wheel jumps `mem_now` directly to the earliest timing
+/// edge any component exposes (next command-legal cycle, refresh
+/// deadline, completion delivery, power-down expiry, guardband re-arm,
+/// core retire). Inside the cycles it does execute, a core that provably
+/// cannot touch memory runs its CPU subcycles in one step. Skipped cycles
+/// are bulk-accounted so reports and telemetry stay *bit-identical* to
+/// cycle-by-cycle execution; the equivalence suite in
+/// `tests/event_wheel_equivalence.rs` pins this, and
 /// [`System::set_skip_ahead`] can force the dense drive for debugging.
 pub struct System {
     cores: Vec<Core<Box<dyn Iterator<Item = TraceRecord>>>>,
@@ -720,6 +723,9 @@ pub struct System {
     /// Per-core "fetching through a trace gap" flags of the current
     /// compute-span attempt (reused scratch, one entry per core).
     span_compute: Vec<bool>,
+    /// Per-core "subcycles already run in one step" flags of the current
+    /// dense cycle (reused scratch, one entry per core).
+    batched: Vec<bool>,
 }
 
 impl std::fmt::Debug for System {
@@ -957,6 +963,7 @@ impl System {
             wheel: WheelStats::default(),
             pending_wake: None,
             span_compute: vec![false; n_cores],
+            batched: vec![false; n_cores],
         })
     }
 
@@ -992,11 +999,11 @@ impl System {
 
     /// Simulates exactly one memory cycle (controller tick, completion
     /// dispatch, guardband MRS application, four CPU subcycles) and
-    /// advances `mem_now`. Returns `true` when the cycle was fully
-    /// *quiet*: the controller neither did nor queued observable work and
-    /// every live core sat stalled — the precondition for the event wheel
-    /// to jump ahead.
-    fn advance_cycle(&mut self) -> bool {
+    /// advances `mem_now`. Under the event wheel, a core that provably
+    /// cannot touch memory this cycle ([`cpu_model::Core::advance_parked`])
+    /// runs its four subcycles in one step; the dense drive ticks every
+    /// core subcycle by subcycle.
+    fn advance_cycle(&mut self) {
         for c in self.controller.tick(self.mem_now) {
             if c.core_id == COPY_CORE {
                 continue; // cache-copy traffic; nobody waits on it
@@ -1013,31 +1020,40 @@ impl System {
             self.wheel.note_wake(source, self.controller.had_activity());
         }
         self.apply_guardband_transitions();
+        // A batched core touches neither the controller nor the cache, so
+        // running its subcycles ahead of the other cores' is exact.
+        let start_cpu = self.mem_now * CPU_PER_MEM_CYCLE;
+        for (core, batched) in self.cores.iter_mut().zip(&mut self.batched) {
+            *batched = self.skip_ahead
+                && !core.done()
+                && core.advance_parked(start_cpu, CPU_PER_MEM_CYCLE);
+            if *batched {
+                self.wheel.batched_core_cycles += CPU_PER_MEM_CYCLE;
+            }
+        }
         for sub in 0..CPU_PER_MEM_CYCLE {
-            let cpu_now = self.mem_now * CPU_PER_MEM_CYCLE + sub;
             let mut sink = CtlSink {
                 ctl: &mut self.controller,
                 cache: self.cache.as_mut(),
                 mapper: self.mapper.as_ref(),
             };
-            for core in &mut self.cores {
-                if !core.done() {
-                    core.cycle(cpu_now, &mut sink);
+            for (core, &batched) in self.cores.iter_mut().zip(&self.batched) {
+                if !batched && !core.done() {
+                    core.cycle(start_cpu + sub, &mut sink);
                 }
             }
         }
-        let quiet = !self.controller.had_activity() && self.cores_quiet();
         self.mem_now += 1;
-        quiet
     }
 
-    /// True when every core is either done or parked in a stall the event
-    /// wheel can wake precisely. Two stalls are *not* parked:
+    /// True, after a cycle, when every core is either done or parked in a
+    /// stall the event wheel can wake precisely. Two stalls are *not*
+    /// parked:
     ///
     /// * a core whose ROB head is already retirable (`retire_at` due
-    ///   within the next cycle) — a full ROB then churns retire + refill
-    ///   every cycle without touching the controller, which is work, not
-    ///   a stall;
+    ///   by the next cycle, `mem_now`) — a full ROB then churns retire +
+    ///   refill every cycle without touching the controller, which is
+    ///   work, not a stall;
     /// * a queue-blocked core when a row cache is armed: retried
     ///   enqueues route through the cache and mutate its LRU/promotion
     ///   state even when refused, so those retries must keep executing
@@ -1050,8 +1066,7 @@ impl System {
                 retire_at,
                 queue_retry,
             } => {
-                let retire_due =
-                    retire_at.is_some_and(|t| t / CPU_PER_MEM_CYCLE <= self.mem_now + 1);
+                let retire_due = retire_at.is_some_and(|t| t / CPU_PER_MEM_CYCLE <= self.mem_now);
                 !(retire_due || queue_retry && self.cache.is_some())
             }
         })
@@ -1080,12 +1095,13 @@ impl System {
                 }
             }
         }
-        self.wheel.attempts += 1;
-        let ctl = self.controller.next_event_detail(now);
-        let Some(edge) = ctl.map(|e| e.cycle).into_iter().chain(core_edge).min() else {
-            return;
-        };
-        let target = edge.max(self.mem_now).min(until);
+        let ctl = self.query_controller_edge();
+        let target = ctl
+            .map(|e| e.cycle)
+            .into_iter()
+            .chain(core_edge)
+            .min()
+            .map_or(self.mem_now, |edge| edge.max(self.mem_now).min(until));
         let skipped = self.account_jump(target, ctl, core_edge.map_or(until, |c| c.min(until)));
         if skipped == 0 {
             return;
@@ -1096,6 +1112,17 @@ impl System {
         self.mem_now = target;
     }
 
+    /// The controller's next edge after the cycle just executed, counted
+    /// as one edge query (and as a settled one when that cycle was
+    /// active).
+    fn query_controller_edge(&mut self) -> Option<EdgeInfo> {
+        self.wheel.attempts += 1;
+        if self.controller.had_activity() {
+            self.wheel.settled_attempts += 1;
+        }
+        self.controller.next_event_detail(self.mem_now - 1)
+    }
+
     /// Bookkeeping shared by both jumps to `target`: bulk-replays the
     /// skipped cycles into the controller, counts them, and arms the wake
     /// credit when the controller edge `ctl` alone (strictly before
@@ -1104,6 +1131,7 @@ impl System {
     fn account_jump(&mut self, target: Cycle, ctl: Option<EdgeInfo>, other_bound: Cycle) -> Cycle {
         let skipped = target.saturating_sub(self.mem_now);
         if skipped == 0 {
+            self.wheel.empty_attempts += 1;
             return 0;
         }
         self.controller.note_skipped_cycles(skipped);
@@ -1115,8 +1143,8 @@ impl System {
     }
 
     /// The compute-span counterpart of [`System::skip_to_next_edge`]: the
-    /// controller just had a fully quiet cycle but at least one core is
-    /// busy fetching through a trace gap. Over the span each gap-fetching
+    /// controller just had a settled cycle but at least one core is busy
+    /// fetching through a trace gap. Over the span each gap-fetching
     /// core vouches for ([`cpu_model::Core::compute_quiet_cycles`]) no
     /// core can touch the memory system, so the controller is frozen and
     /// bulk-replayed exactly as in a stalled skip while every busy core
@@ -1127,7 +1155,6 @@ impl System {
     /// (read completions included, so no `complete_read` can land inside
     /// it) and at every stalled core's retire edge.
     fn skip_compute_span(&mut self, until: Cycle) {
-        let now = self.mem_now - 1;
         let mut span_cpu = Cycle::MAX;
         let mut retire_edge: Option<Cycle> = None;
         let mut any_compute = false;
@@ -1167,8 +1194,10 @@ impl System {
         }
         let span_end = self.mem_now.saturating_add(span_mem).min(until);
         let bound = retire_edge.map_or(span_end, |r| r.min(span_end));
-        self.wheel.attempts += 1;
-        let ctl = self.controller.next_event_detail(now);
+        if bound <= self.mem_now {
+            return; // nothing to jump over, whatever the controller says
+        }
+        let ctl = self.query_controller_edge();
         let target = ctl.map_or(bound, |e| e.cycle.min(bound));
         let skipped = self.account_jump(target, ctl, bound);
         if skipped == 0 {
@@ -1193,18 +1222,29 @@ impl System {
     /// `step(chunk)` land on the same cycle with a single call, and
     /// [`System::reconfigure`] remains legal between calls (the first
     /// cycle after any call boundary is always executed densely).
+    ///
+    /// Under the event wheel, every executed cycle after which the
+    /// controller is settled — quiet, or active with nothing pending
+    /// beyond its reported edges — tries a jump: to the next edge when
+    /// every core is parked, or over a compute span when some core is
+    /// fetching through a trace gap.
     pub fn run_until(&mut self, target: Cycle) -> bool {
         while self.mem_now < target {
             if self.done() {
                 return true;
             }
-            let quiet = self.advance_cycle();
+            self.advance_cycle();
             // Never skip once the run is finished: `now` must land on the
-            // completion cycle, exactly where the dense drive stops.
-            if self.skip_ahead && !self.done() {
-                if quiet {
+            // completion cycle, exactly where the dense drive stops. A
+            // cycle without activity is always settled.
+            if self.skip_ahead
+                && self.mem_now < target
+                && !self.done()
+                && (!self.controller.had_activity() || self.controller.settled())
+            {
+                if self.cores_quiet() {
                     self.skip_to_next_edge(target);
-                } else if !self.controller.had_activity() {
+                } else {
                     self.skip_compute_span(target);
                 }
             }
@@ -1222,7 +1262,8 @@ impl System {
             if self.done() {
                 return true;
             }
-            let quiet = self.advance_cycle();
+            self.advance_cycle();
+            let quiet = !self.controller.had_activity() && self.cores_quiet();
             if !quiet || self.done() {
                 return self.done();
             }

@@ -4,7 +4,8 @@ use mem_controller::EdgeSource;
 
 /// What the event wheel did over a run: how many memory cycles it
 /// executed one at a time, how often it looked for an edge to jump to,
-/// how far it jumped, and which controller edge woke it.
+/// how far it jumped, which controller edge woke it, and how many core
+/// cycles it batched inside the cycles it executed.
 ///
 /// A *wake* is credited to an [`EdgeSource`] when the wheel jumped at
 /// least one cycle and that controller edge alone set the landing cycle
@@ -21,6 +22,15 @@ pub struct WheelStats {
     pub dense_cycles: u64,
     /// Edge queries: each pays one controller `next_event` scan.
     pub attempts: u64,
+    /// Edge queries that jumped 0 cycles (the next edge was the very next
+    /// cycle, or there was none).
+    pub empty_attempts: u64,
+    /// Edge queries made after a cycle in which the controller was active
+    /// but settled (the rest follow quiet cycles).
+    pub settled_attempts: u64,
+    /// CPU cycles cores ran in one batched step per dense memory cycle
+    /// instead of subcycle by subcycle.
+    pub batched_core_cycles: u64,
     /// Memory cycles jumped over.
     pub skipped_cycles: u64,
     /// Wakes per edge source, indexed by [`EdgeSource::index`].

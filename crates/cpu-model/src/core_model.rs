@@ -395,7 +395,7 @@ impl<T: Iterator<Item = TraceRecord>> Core<T> {
                     self.stats.rob_stall_cycles += end - now;
                     return;
                 }
-                let k = self.churn_cycles(now).min(end - now);
+                let k = self.churn_cycles(now, end - now);
                 if k > 0 {
                     self.churn(now, k);
                     now += k;
@@ -407,12 +407,44 @@ impl<T: Iterator<Item = TraceRecord>> Core<T> {
         }
     }
 
-    /// Number of upcoming cycles (starting at `now`, ROB currently full)
-    /// over which retire is guaranteed to pop exactly `retire_width` due
-    /// entries per cycle — the steady-churn invariant [`Core::churn`]
-    /// replays in closed form. Returns 0 when the invariant cannot be
-    /// proven (e.g. a pending read sits near the head).
-    fn churn_cycles(&self, now: u64) -> u64 {
+    /// Executes `cpu_cycles` consecutive cycles starting at CPU cycle
+    /// `start_cpu` in one step when the core provably neither calls the
+    /// [`RequestSink`] nor retires a read over them, ending in the exact
+    /// state that many [`Core::cycle`] calls would leave. Returns `false`,
+    /// with the core untouched, when no such proof exists.
+    ///
+    /// Two cases qualify: a gap fetch [`Core::compute_quiet_cycles`]
+    /// vouches for (replayed by [`Core::advance_compute`]), and a parked
+    /// core — stalled with no queue retry pending and its ROB head not
+    /// retirable before the span ends — whose cycles only count stalls
+    /// ([`Core::note_skipped_cycles`]). As with those two, the caller must
+    /// deliver no read completion inside the span.
+    pub fn advance_parked(&mut self, start_cpu: u64, cpu_cycles: u64) -> bool {
+        if self.compute_quiet_cycles() >= cpu_cycles {
+            self.advance_compute(start_cpu, cpu_cycles);
+            return true;
+        }
+        let end = start_cpu + cpu_cycles;
+        match self.wait_hint() {
+            CoreWait::Stalled {
+                retire_at,
+                queue_retry: false,
+            } if retire_at.is_none_or(|t| t >= end) => {
+                self.note_skipped_cycles(cpu_cycles);
+                true
+            }
+            _ => false,
+        }
+    }
+
+    /// Number of upcoming cycles (starting at `now`, ROB currently full,
+    /// at most `limit`) over which retire is guaranteed to pop exactly
+    /// `retire_width` due entries per cycle — the steady-churn invariant
+    /// [`Core::churn`] replays in closed form. Returns 0 when the
+    /// invariant cannot be proven (e.g. a pending read sits near the
+    /// head). Only the `limit * retire_width` entries the span can retire
+    /// are scanned.
+    fn churn_cycles(&self, now: u64, limit: u64) -> u64 {
         let rw = u64::from(self.params.retire_width);
         let fw = u64::from(self.params.fetch_width);
         // Churn holds the ROB full only when fetch can refill every freed
@@ -425,14 +457,15 @@ impl<T: Iterator<Item = TraceRecord>> Core<T> {
         {
             return 0;
         }
-        for (j, &t) in self.rob.iter().enumerate() {
+        let reach = usize::try_from(limit.saturating_mul(rw)).unwrap_or(usize::MAX);
+        for (j, &t) in self.rob.iter().take(reach).enumerate() {
             // The entry at index j is popped in the cycle now + j/rw; a
             // later completion time (or a pending read) ends the run.
             if t > now + j as u64 / rw {
                 return j as u64 / rw;
             }
         }
-        u64::MAX
+        limit
     }
 
     /// Replays `k` steady-churn cycles starting at `now` in one step:
@@ -506,6 +539,46 @@ mod tests {
     use super::*;
     use crate::instant::InstantMemory;
     use dram_device::PhysAddr;
+    use sim_rng::SmallRng;
+
+    /// A seeded trace mixing short gaps (memory ops issue back to back),
+    /// medium ones and long compute gaps (ROB-full churn).
+    fn seeded_trace(seed: u64, records: usize) -> Vec<TraceRecord> {
+        let mut rng = SmallRng::seed_from_u64(seed);
+        (0..records)
+            .map(|i| {
+                let gap = match rng.next_u64() % 4 {
+                    0 => 0,
+                    1 => rng.next_u64() % 8,
+                    2 => 20 + rng.next_u64() % 200,
+                    _ => 500 + rng.next_u64() % 3_000,
+                };
+                let kind = if rng.next_u64().is_multiple_of(4) {
+                    ReqKind::Write
+                } else {
+                    ReqKind::Read
+                };
+                TraceRecord::new(gap as u32, kind, PhysAddr(i as u64 * 64))
+            })
+            .collect()
+    }
+
+    /// Everything a core carries from one cycle to the next: fetch state,
+    /// ROB, sequence numbers, in-flight reads (sorted) and the queue flag.
+    type CoreState = (String, Vec<u64>, u64, u64, Vec<(u64, (u64, u64))>, bool);
+
+    fn core_state<T>(core: &Core<T>) -> CoreState {
+        let mut inflight: Vec<_> = core.inflight.iter().map(|(&k, &v)| (k, v)).collect();
+        inflight.sort_unstable();
+        (
+            format!("{:?}", core.fetch),
+            core.rob.iter().copied().collect(),
+            core.head_seq,
+            core.next_seq,
+            inflight,
+            core.queue_blocked,
+        )
+    }
 
     fn run_to_completion<T: Iterator<Item = TraceRecord>>(
         core: &mut Core<T>,
@@ -639,5 +712,116 @@ mod tests {
             core.stats().clone()
         };
         assert_eq!(run(true), run(false));
+    }
+
+    /// A batched step of four subcycles (one memory cycle) must end in the
+    /// same state and stats as four `cycle` calls, in both batched cases:
+    /// a vouched-for gap fetch and a parked core whose ROB head waits on
+    /// DRAM. Completions land only at step boundaries, as they do in the
+    /// system's dense cycles.
+    #[test]
+    fn batched_subcycles_match_per_cycle_execution() {
+        const STEP: u64 = 4;
+        let params = CoreParams::msc_default();
+        for seed in [1, 2, 3] {
+            let trace = seeded_trace(seed, 300);
+            let mut batched = Core::new(0, params, trace.clone().into_iter());
+            let mut reference = Core::new(0, params, trace.into_iter());
+            let (mut mem_b, mut mem_r) = (InstantMemory::new(600), InstantMemory::new(600));
+            let (mut computed, mut parked) = (0u64, 0u64);
+            let mut now = 0u64;
+            while !reference.done() {
+                assert!(now < 10_000_000, "seed {seed}: did not finish");
+                mem_b.deliver(now, &mut batched);
+                mem_r.deliver(now, &mut reference);
+                let compute = batched.compute_quiet_cycles() >= STEP;
+                if batched.advance_parked(now, STEP) {
+                    if compute {
+                        computed += 1;
+                    } else {
+                        parked += 1;
+                    }
+                } else {
+                    for sub in 0..STEP {
+                        batched.cycle(now + sub, &mut mem_b);
+                    }
+                }
+                for sub in 0..STEP {
+                    reference.cycle(now + sub, &mut mem_r);
+                }
+                now += STEP;
+                assert_eq!(
+                    core_state(&batched),
+                    core_state(&reference),
+                    "seed {seed}: state differs after cycle {now}"
+                );
+                assert_eq!(batched.stats(), reference.stats(), "seed {seed} @{now}");
+            }
+            assert!(batched.done());
+            assert!(
+                computed > 0 && parked > 0,
+                "seed {seed}: {computed} computed, {parked} parked"
+            );
+        }
+    }
+
+    /// A stalled core whose ROB head comes due on the last subcycle of a
+    /// step is not parked; one due right after the step is, and its batch
+    /// matches four `cycle` calls.
+    #[test]
+    fn parked_batch_stops_at_a_head_due_inside_the_step() {
+        let start = 400;
+        let drained = |head_due: u64| {
+            let mut core = Core::new(0, CoreParams::msc_default(), std::iter::empty());
+            core.cycle(start - 1, &mut InstantMemory::new(0));
+            core.rob.extend([head_due, head_due, head_due + 1]);
+            core.next_seq = 3;
+            core
+        };
+        let mut due_inside = drained(start + 3);
+        assert!(!due_inside.advance_parked(start, 4));
+        assert_eq!(core_state(&due_inside), core_state(&drained(start + 3)));
+
+        let mut batched = drained(start + 4);
+        let mut reference = drained(start + 4);
+        assert!(batched.advance_parked(start, 4));
+        for now in start..start + 4 {
+            reference.cycle(now, &mut InstantMemory::new(0));
+        }
+        assert_eq!(core_state(&batched), core_state(&reference));
+        assert_eq!(batched.stats(), reference.stats());
+    }
+
+    /// The bounded ROB scan of `churn_cycles` answers exactly what the
+    /// full scan clamped to the limit would, on seeded churn states.
+    #[test]
+    fn bounded_churn_scan_equals_clamped_full_scan() {
+        let mut checked = 0;
+        for seed in [4, 5, 6] {
+            let mut core = Core::new(
+                0,
+                CoreParams::msc_default(),
+                seeded_trace(seed, 200).into_iter(),
+            );
+            let mut mem = InstantMemory::new(300);
+            let mut now = 0u64;
+            while !core.done() {
+                mem.deliver(now, &mut core);
+                if core.rob.len() >= core.params.rob_size {
+                    let full = core.churn_cycles(now, u64::MAX);
+                    for limit in [0, 1, 2, 3, 4, 7, 16, 63, 64, 65, 1_000] {
+                        assert_eq!(
+                            core.churn_cycles(now, limit),
+                            full.min(limit),
+                            "seed {seed} @{now}, limit {limit}"
+                        );
+                    }
+                    checked += 1;
+                }
+                core.cycle(now, &mut mem);
+                now += 1;
+            }
+        }
+        assert!(checked > 1_000, "{checked} full-ROB states checked");
     }
 }

@@ -226,6 +226,7 @@ pub fn run(root: &Path) -> Vec<Diagnostic> {
                 ("scenarios", Json::from(cert.scenarios as u64)),
                 ("quiet_states", Json::from(cert.quiet_states as u64)),
                 ("spans", Json::from(cert.spans)),
+                ("settled_spans", Json::from(cert.settled_spans)),
                 ("skipped_cycles", Json::from(cert.skipped_cycles)),
             ]),
         ),

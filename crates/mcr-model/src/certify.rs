@@ -1,9 +1,10 @@
 //! Event-wheel wake-soundness certifier.
 //!
 //! The event-wheel run loop (core crate) only ticks the controller at
-//! cycles where something can happen: after a quiet tick it asks
-//! [`MemoryController::next_event`] for the earliest future edge and
-//! jumps straight to it. That is only sound if no edge source ever
+//! cycles where something can happen: after a settled tick — quiet, or
+//! active with no state change pending ([`MemoryController::settled`]) —
+//! it asks [`MemoryController::next_event`] for the earliest future edge
+//! and jumps straight to it. That is only sound if no edge source ever
 //! *overshoots* — claims a wake-up later than the first cycle at which
 //! the controller would actually do observable work.
 //!
@@ -12,7 +13,8 @@
 //! management, seeded request schedules with bursts, write-drain
 //! crossings, and idle gaps). The *wheel* twin follows the skip
 //! discipline; the *dense* twin is ticked on every single cycle of every
-//! claimed-quiet span. Any completion or activity the dense twin shows
+//! claimed-quiet span, including spans that start at an active but
+//! settled tick. Any completion or activity the dense twin shows
 //! strictly before the claimed edge is a wake-soundness violation,
 //! attributed to the [`mem_controller::EdgeSource`] that produced the
 //! too-late edge.
@@ -35,6 +37,8 @@ pub struct CertifyReport {
     pub quiet_states: usize,
     /// Quiet spans validated by dense micro-stepping.
     pub spans: u64,
+    /// Of `spans`, those starting at an active but settled tick.
+    pub settled_spans: u64,
     /// Total cycles the wheel skipped across all certified spans.
     pub skipped_cycles: Cycle,
     /// Spans per claiming edge source (coverage evidence).
@@ -209,6 +213,7 @@ pub fn certify(bursts: usize) -> CertifyReport {
     let mut fingerprints: HashSet<QuietFp> = HashSet::new();
     let mut edge_spans: HashMap<String, u64> = HashMap::new();
     let mut spans: u64 = 0;
+    let mut settled_spans: u64 = 0;
     let mut skipped_cycles: Cycle = 0;
 
     for (scn_idx, sc) in SCENARIOS.iter().enumerate() {
@@ -276,12 +281,13 @@ pub fn certify(bursts: usize) -> CertifyReport {
             if now >= hard_end {
                 break;
             }
-            if wheel.had_activity() || enqueued {
+            let active = wheel.had_activity() || enqueued;
+            if active && !wheel.settled() {
                 now += 1;
                 continue;
             }
-            // Quiet tick: the wheel claims nothing observable happens
-            // before its earliest edge. Certify the claim.
+            // Quiet or settled tick: the wheel claims nothing observable
+            // happens before its earliest edge. Certify the claim.
             let edge = wheel.next_event_detail(now);
             fingerprints.insert(fingerprint(scn_idx, &wheel, edge));
             if let Some(e) = edge {
@@ -334,6 +340,7 @@ pub fn certify(bursts: usize) -> CertifyReport {
             }
             if claimed.is_some() || target > now + 1 {
                 spans += 1;
+                settled_spans += u64::from(active);
                 skipped_cycles += target - now - 1;
                 *edge_spans.entry(source_name(claimed)).or_insert(0) += 1;
             }
@@ -360,6 +367,7 @@ pub fn certify(bursts: usize) -> CertifyReport {
         scenarios: SCENARIOS.len(),
         quiet_states: fingerprints.len(),
         spans,
+        settled_spans,
         skipped_cycles,
         edge_spans,
         findings,
@@ -391,6 +399,12 @@ mod tests {
         );
         assert!(report.spans > 50, "{} spans", report.spans);
         assert!(report.skipped_cycles > 1_000);
+        // The wheel also jumps from active ticks once the controller is
+        // settled; those spans must be certified too.
+        assert!(
+            report.settled_spans > 0,
+            "no span started at an active but settled tick"
+        );
         // The refresh terms of the edge fold are gated on bank state (a
         // release needs every bank closed, a quiesce an urgent rank with
         // open ones); the matrix must still reach both so the gated terms

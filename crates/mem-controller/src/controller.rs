@@ -18,6 +18,7 @@ use mcr_telemetry::TraceSink;
 use mcr_telemetry::{TraceEvent, TraceEventKind};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
+use std::ops::ControlFlow;
 
 /// Scheduling policy for picking among queued requests.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -158,6 +159,31 @@ fn before(c: Cycle, bound: Option<Cycle>) -> bool {
     bound.is_none_or(|b| c < b)
 }
 
+/// The running minimum of [`MemoryController::next_event_detail`]: every
+/// term is clamped to `floor`, the cycle after the queried `now`, and
+/// the fold stops as soon as it reaches the floor, since no term can come
+/// earlier and ties keep the first source.
+struct EdgeFold {
+    floor: Cycle,
+    edge: Option<EdgeInfo>,
+}
+
+impl EdgeFold {
+    /// Folds in the term `c` claimed by `source`; breaks once the edge
+    /// sits on the floor.
+    fn note(&mut self, c: Cycle, source: EdgeSource) -> ControlFlow<()> {
+        let c = c.max(self.floor);
+        if self.edge.is_none_or(|e| c < e.cycle) {
+            self.edge = Some(EdgeInfo { cycle: c, source });
+        }
+        if c == self.floor {
+            ControlFlow::Break(())
+        } else {
+            ControlFlow::Continue(())
+        }
+    }
+}
+
 /// The edge fold's model of one FR-FCFS pass. A pass picks the oldest
 /// request whose *pick* cycle has come and then issues only if that
 /// request's command is legal, so a request can act only while no older
@@ -167,18 +193,20 @@ struct PassEdge {
     /// Earliest pick cycle over the requests offered so far: from then
     /// on the pass always picks one of them.
     picks_from: Option<Cycle>,
-    /// Earliest cycle after `now` at which an offered request can issue.
+    /// Earliest cycle, clamped to the fold's floor, at which an offered
+    /// request can issue.
     edge: Option<Cycle>,
 }
 
 impl PassEdge {
     /// Offers the next request: the pass picks it from `pick` on, and
     /// `issue` yields the cycle its command becomes legal (never before
-    /// `pick`; `None` when the pass would refuse it).
-    fn offer(&mut self, now: Cycle, pick: Cycle, issue: impl FnOnce() -> Option<Cycle>) {
+    /// `pick`; `None` when the pass would refuse it), clamped to `floor`.
+    fn offer(&mut self, floor: Cycle, pick: Cycle, issue: impl FnOnce() -> Option<Cycle>) {
         if before(pick, self.picks_from) && before(pick, self.edge) {
-            if let Some(c) =
-                issue().filter(|&c| c > now && before(c, self.picks_from) && before(c, self.edge))
+            if let Some(c) = issue()
+                .map(|c| c.max(floor))
+                .filter(|&c| before(c, self.picks_from) && before(c, self.edge))
             {
                 self.edge = Some(c);
             }
@@ -199,6 +227,16 @@ struct ChannelCtl {
     /// Per-rank cycle since which the rank has been continuously idle
     /// (for power-down entry decisions).
     rank_idle_since: Vec<Option<Cycle>>,
+}
+
+impl ChannelCtl {
+    /// True when `rank` has a queued request or a pending refresh: the
+    /// work that keeps it out of power-down.
+    fn rank_has_work(&self, rank: u8) -> bool {
+        self.read_q.iter().any(|r| r.dram.rank == rank)
+            || self.write_q.iter().any(|r| r.dram.rank == rank)
+            || self.refresh.backlog(rank) > 0
+    }
 }
 
 /// The memory controller: one instance drives every channel of the system.
@@ -545,23 +583,51 @@ impl MemoryController {
 
     /// True when the current memory cycle — the span since the last
     /// [`MemoryController::tick`] entry, including enqueues made after it —
-    /// did or queued observable work. A `false` answer guarantees the
-    /// controller's externally visible state is frozen until one of the
-    /// edges reported by [`MemoryController::next_event`], so an
-    /// event-wheel driver may skip ahead.
+    /// did or queued observable work. After a tick, a `false` answer
+    /// implies [`MemoryController::settled`]; an event-wheel run loop may
+    /// skip ahead after any settled cycle, active or not.
     pub fn had_activity(&self) -> bool {
         self.activity
     }
 
-    /// Earliest cycle strictly after `now` at which a quiet controller can
-    /// next do work: command legality for the queued requests the
-    /// scheduler would serve (including the shared data bus), completion
-    /// delivery, refresh-slot deadlines, backlog release and quiesce
-    /// precharges, power-down thresholds and pending entries, and
-    /// guardband re-arms. Returns `None` when no such edge exists (e.g. a
-    /// fully idle controller).
+    /// True when the next [`MemoryController::tick`] can change nothing
+    /// apart from what the edges of [`MemoryController::next_event`]
+    /// report: no write-drain flip and no power-down idle-tracking or wake
+    /// update is pending. Then the controller's externally visible state
+    /// is frozen until the reported edge, so an event-wheel run loop may
+    /// skip ahead even after a cycle that issued a command or took a
+    /// request. Always true after a tick without activity.
+    pub fn settled(&self) -> bool {
+        self.channels.iter().all(|ch| {
+            let drain_holds = if ch.draining {
+                ch.write_q.len() > self.config.wq_low_watermark
+            } else {
+                ch.write_q.len() < self.config.wq_high_watermark
+            };
+            drain_holds
+                && (self.config.powerdown_idle_threshold.is_none()
+                    || (0..self.geometry.ranks).all(|rank| {
+                        let has_work = ch.rank_has_work(rank);
+                        if ch.chan.rank_powered_down(rank) {
+                            !has_work
+                        } else {
+                            has_work == ch.rank_idle_since[rank as usize].is_none()
+                        }
+                    }))
+        })
+    }
+
+    /// Earliest cycle after `now` at which a settled controller can next
+    /// do work: command legality for the queued requests the scheduler
+    /// would serve (including the shared data bus), completion delivery,
+    /// refresh-slot deadlines, backlog release and quiesce precharges,
+    /// power-down thresholds and pending entries, and guardband re-arms.
+    /// Every term is clamped to `now + 1`: a command legal already (a
+    /// request enqueued after this cycle's tick, say) can issue on the
+    /// next cycle. Returns `None` when no such edge exists (e.g. a fully
+    /// idle controller).
     ///
-    /// Edges are never late: every state change a quiet controller can
+    /// Edges are never late: every state change a settled controller can
     /// undergo happens at or after the reported cycle. Each term also
     /// mirrors the scheduler's own selection rules, so the controller can
     /// act at the reported cycle; a wake where it then does nothing still
@@ -580,35 +646,41 @@ impl MemoryController {
     /// `mcr-model` wake-soundness certifier uses to attribute an overshoot
     /// to the edge computation that produced it.
     pub fn next_event_detail(&self, now: Cycle) -> Option<EdgeInfo> {
-        let mut edge: Option<EdgeInfo> = None;
-        let mut note = |c: Cycle, source: EdgeSource| {
-            if c > now && edge.is_none_or(|e| c < e.cycle) {
-                edge = Some(EdgeInfo { cycle: c, source });
-            }
+        let mut fold = EdgeFold {
+            floor: now + 1,
+            edge: None,
         };
+        // A break only means the fold reached its floor early.
+        let _ = self.fold_edges(&mut fold);
+        fold.edge
+    }
+
+    /// The terms of [`MemoryController::next_event_detail`], in scan order.
+    fn fold_edges(&self, fold: &mut EdgeFold) -> ControlFlow<()> {
+        let floor = fold.floor;
         if let Some(g) = &self.guardband {
             if let Some(c) = g.next_rearm_cycle() {
-                note(c, EdgeSource::GuardbandRearm);
+                fold.note(c, EdgeSource::GuardbandRearm)?;
             }
         }
         for ch in &self.channels {
             if let Some(&Reverse((ready, ..))) = ch.completions.peek() {
-                note(ready, EdgeSource::Completion);
+                fold.note(ready, EdgeSource::Completion)?;
             }
             let urgent = |rank: u8| self.config.refresh_enabled && ch.refresh.urgent(rank);
             if self.config.refresh_enabled {
                 for rank in 0..self.geometry.ranks {
-                    note(ch.refresh.next_due(rank), EdgeSource::RefreshDue);
+                    fold.note(ch.refresh.next_due(rank), EdgeSource::RefreshDue)?;
                     let Some(p) = ch.refresh.peek(rank) else {
                         continue;
                     };
                     if ch.chan.rank(rank).all_idle() {
                         // A REFRESH needs every bank closed, its release
                         // cycle passed and the rank's tRP/tRFC recovered.
-                        note(
+                        fold.note(
                             p.not_before.max(ch.chan.next_refresh_cycle(rank)),
                             EdgeSource::RefreshRelease,
-                        );
+                        )?;
                     } else if urgent(rank) {
                         // Open banks block the REFRESH (`RankNotIdle`)
                         // until someone closes them, and only an urgent
@@ -616,10 +688,10 @@ impl MemoryController {
                         // cycle, as soon as any precharge is legal.
                         for bank in 0..self.geometry.banks {
                             if ch.chan.open_row(rank, bank).is_some() {
-                                note(
+                                fold.note(
                                     ch.chan.next_precharge_cycle(rank, bank),
                                     EdgeSource::RefreshQuiesce,
-                                );
+                                )?;
                             }
                         }
                     }
@@ -629,8 +701,9 @@ impl MemoryController {
             // mirroring its selection rules: requests to an urgent rank
             // are never served, FCFS serves only the oldest request, and
             // FR-FCFS runs the passes of `schedule_fr_fcfs`. Drain mode
-            // and urgency cannot flip during a quiet span (queue lengths
-            // and backlogs only change on active cycles or at a reported
+            // and urgency cannot flip before the edge (queue lengths
+            // only change on active cycles, `settled` rules out a pending
+            // drain flip, and backlogs only grow at a reported
             // `RefreshDue`), so the selection is stable.
             let drain = ch.draining || (ch.read_q.is_empty() && !ch.write_q.is_empty());
             let q = if drain { &ch.write_q } else { &ch.read_q };
@@ -641,20 +714,20 @@ impl MemoryController {
                     if let Some(r) = served.next() {
                         let (rank, bank, row) = (r.dram.rank, r.dram.bank, r.dram.row);
                         match ch.chan.open_row(rank, bank) {
-                            Some(open) if open == row => note(
+                            Some(open) if open == row => fold.note(
                                 ch.chan
                                     .next_cas_cycle(rank, bank, is_read)
                                     .max(ch.chan.next_bus_cas_cycle(rank, is_read)),
                                 EdgeSource::QueueCas,
-                            ),
-                            Some(_) => note(
+                            )?,
+                            Some(_) => fold.note(
                                 ch.chan.next_precharge_cycle(rank, bank),
                                 EdgeSource::QueuePrecharge,
-                            ),
-                            None => note(
+                            )?,
+                            None => fold.note(
                                 ch.chan.next_activate_cycle(rank, bank),
                                 EdgeSource::QueueActivate,
-                            ),
+                            )?,
                         }
                     }
                 }
@@ -664,6 +737,8 @@ impl MemoryController {
                         PassEdge::default(),
                         PassEdge::default(),
                     );
+                    // Built on the first pass-3 candidate that needs it.
+                    let mut hit_banks: Option<Vec<bool>> = None;
                     for r in served {
                         let (rank, bank) = (r.dram.rank, r.dram.bank);
                         match ch.chan.open_row(rank, bank) {
@@ -671,40 +746,42 @@ impl MemoryController {
                                 // Pass 1 picks on bank/rank CAS timing
                                 // alone; a busy data bus then refuses it.
                                 let cas = ch.chan.next_cas_cycle(rank, bank, is_read);
-                                hit.offer(now, cas, || {
+                                hit.offer(floor, cas, || {
                                     Some(cas.max(ch.chan.next_bus_cas_cycle(rank, is_read)))
                                 });
+                                if hit.edge == Some(floor) {
+                                    // The first queue term, on the floor:
+                                    // nothing later in the queue matters.
+                                    break;
+                                }
                             }
-                            Some(open) => {
+                            Some(_) => {
                                 // Pass 3 never closes a row that still has
                                 // a pending hit in the active queue.
                                 let legal = ch.chan.next_precharge_cycle(rank, bank);
-                                pre.offer(now, legal, || {
-                                    let pending_hit = q.iter().any(|o| {
-                                        o.dram.rank == rank
-                                            && o.dram.bank == bank
-                                            && o.dram.row == open
-                                    });
-                                    (!pending_hit).then_some(legal)
+                                pre.offer(floor, legal, || {
+                                    let hits = hit_banks
+                                        .get_or_insert_with(|| self.pending_hit_banks(ch, q));
+                                    (!hits[self.bank_slot(rank, bank)]).then_some(legal)
                                 });
                             }
                             None => {
                                 let legal = ch.chan.next_activate_cycle(rank, bank);
-                                act.offer(now, legal, || Some(legal));
+                                act.offer(floor, legal, || Some(legal));
                             }
                         }
                     }
                     // A later pass only runs while every earlier one picks
                     // nothing.
                     if let Some(c) = hit.edge {
-                        note(c, EdgeSource::QueueCas);
+                        fold.note(c, EdgeSource::QueueCas)?;
                     }
                     if let Some(c) = act.edge.filter(|&c| before(c, hit.picks_from)) {
-                        note(c, EdgeSource::QueueActivate);
+                        fold.note(c, EdgeSource::QueueActivate)?;
                     }
                     let shadow = hit.picks_from.into_iter().chain(act.picks_from).min();
                     if let Some(c) = pre.edge.filter(|&c| before(c, shadow)) {
-                        note(c, EdgeSource::QueuePrecharge);
+                        fold.note(c, EdgeSource::QueuePrecharge)?;
                     }
                 }
             }
@@ -717,25 +794,44 @@ impl MemoryController {
                     // closed and any REFRESH finished; until the banks
                     // are closed, `schedule` step 4 precharges them.
                     let due = since.saturating_add(threshold as Cycle);
-                    let source = if due > now {
+                    let source = if due >= floor {
                         EdgeSource::PowerdownDue
                     } else {
                         EdgeSource::PowerdownRetry
                     };
                     let r = ch.chan.rank(rank);
                     if r.all_idle() {
-                        note(due.max(r.refresh_busy_until()), source);
+                        fold.note(due.max(r.refresh_busy_until()), source)?;
                         continue;
                     }
                     for bank in 0..self.geometry.banks {
                         if ch.chan.open_row(rank, bank).is_some() {
-                            note(due.max(ch.chan.next_precharge_cycle(rank, bank)), source);
+                            fold.note(due.max(ch.chan.next_precharge_cycle(rank, bank)), source)?;
                         }
                     }
                 }
             }
         }
-        edge
+        ControlFlow::Continue(())
+    }
+
+    /// Index of (`rank`, `bank`) in a per-bank vector of one channel.
+    fn bank_slot(&self, rank: u8, bank: u8) -> usize {
+        usize::from(rank) * usize::from(self.geometry.banks) + usize::from(bank)
+    }
+
+    /// Per-bank flags (see [`MemoryController::bank_slot`]) of the banks
+    /// whose open row some request in `q` targets: FR-FCFS pass 3 never
+    /// precharges those. The scheduler and the edge fold both ask here.
+    fn pending_hit_banks(&self, ch: &ChannelCtl, q: &[Request]) -> Vec<bool> {
+        let mut hits =
+            vec![false; usize::from(self.geometry.ranks) * usize::from(self.geometry.banks)];
+        for r in q {
+            if ch.chan.open_row(r.dram.rank, r.dram.bank) == Some(r.dram.row) {
+                hits[self.bank_slot(r.dram.rank, r.dram.bank)] = true;
+            }
+        }
+        hits
     }
 
     /// Pending refresh backlog (postponed slots) of `rank` on channel
@@ -911,9 +1007,7 @@ impl MemoryController {
         };
         for rank in 0..self.geometry.ranks {
             let ch = &self.channels[ci];
-            let has_work = ch.read_q.iter().any(|r| r.dram.rank == rank)
-                || ch.write_q.iter().any(|r| r.dram.rank == rank)
-                || ch.refresh.backlog(rank) > 0;
+            let has_work = ch.rank_has_work(rank);
             let powered_down = ch.chan.rank_powered_down(rank);
             if powered_down {
                 if has_work {
@@ -1021,42 +1115,51 @@ impl MemoryController {
         }
     }
 
-    /// FR-FCFS: oldest issuable row hit, else oldest ACT, else oldest PRE.
+    /// FR-FCFS: oldest issuable row hit, else oldest ACT, else oldest PRE,
+    /// picked in one oldest-first scan of the active queue.
     fn schedule_fr_fcfs(&mut self, ci: usize, now: Cycle, drain: bool, urgent: &[u8]) -> bool {
         let is_read = !drain;
-        // Pass 1: row hits.
-        let hit = self.find_request(ci, drain, urgent, |ch, r| {
-            ch.open_row(r.dram.rank, r.dram.bank) == Some(r.dram.row)
-                && ch.next_cas_cycle(r.dram.rank, r.dram.bank, is_read) <= now
-        });
+        let ch = &self.channels[ci];
+        let (mut hit, mut act, mut pre) = (None, None, None);
+        for (idx, r) in self.queue(ci, drain).iter().enumerate() {
+            let (rank, bank) = (r.dram.rank, r.dram.bank);
+            if urgent.contains(&rank) {
+                continue;
+            }
+            match ch.chan.open_row(rank, bank) {
+                Some(open) if open == r.dram.row => {
+                    // Pass 1: the oldest issuable row hit wins outright.
+                    if ch.chan.next_cas_cycle(rank, bank, is_read) <= now {
+                        hit = Some(idx);
+                        break;
+                    }
+                }
+                // Pass 3: conflicts -> PRECHARGE.
+                Some(_) => {
+                    if pre.is_none() && ch.chan.next_precharge_cycle(rank, bank) <= now {
+                        pre = Some(idx);
+                    }
+                }
+                // Pass 2: closed banks -> ACTIVATE.
+                None => {
+                    if act.is_none() && ch.chan.next_activate_cycle(rank, bank) <= now {
+                        act = Some(idx);
+                    }
+                }
+            }
+        }
         if let Some(idx) = hit {
             return self.issue_cas(ci, idx, drain, now);
         }
-        // Pass 2: closed banks -> ACTIVATE.
-        let act = self.find_request(ci, drain, urgent, |ch, r| {
-            ch.open_row(r.dram.rank, r.dram.bank).is_none()
-                && ch.next_activate_cycle(r.dram.rank, r.dram.bank) <= now
-        });
         if let Some(idx) = act {
             return self.issue_act(ci, idx, drain, now);
         }
-        // Pass 3: conflicts -> PRECHARGE, but never close a row that still
-        // has pending hits in the active queue.
-        let pre = self.find_request(ci, drain, urgent, |ch, r| {
-            matches!(ch.open_row(r.dram.rank, r.dram.bank), Some(open) if open != r.dram.row)
-                && ch.next_precharge_cycle(r.dram.rank, r.dram.bank) <= now
-        });
+        // Pass 3 never closes a row that still has pending hits in the
+        // active queue.
         if let Some(idx) = pre {
-            let (rank, bank) = {
-                let q = self.queue(ci, drain);
-                (q[idx].dram.rank, q[idx].dram.bank)
-            };
-            let open = self.channels[ci].chan.open_row(rank, bank);
-            let has_pending_hit = self
-                .queue(ci, drain)
-                .iter()
-                .any(|r| r.dram.rank == rank && r.dram.bank == bank && Some(r.dram.row) == open);
-            if !has_pending_hit {
+            let q = self.queue(ci, drain);
+            let slot = self.bank_slot(q[idx].dram.rank, q[idx].dram.bank);
+            if !self.pending_hit_banks(ch, q)[slot] {
                 return self.issue_pre(ci, idx, drain, now);
             }
         }
@@ -1065,12 +1168,11 @@ impl MemoryController {
 
     /// FCFS: work only on the oldest request.
     fn schedule_fcfs(&mut self, ci: usize, now: Cycle, drain: bool, urgent: &[u8]) -> bool {
-        let oldest = self.find_request(ci, drain, urgent, |_, _| true);
-        let Some(idx) = oldest else { return false };
-        let (rank, bank, row) = {
-            let q = self.queue(ci, drain);
-            (q[idx].dram.rank, q[idx].dram.bank, q[idx].dram.row)
+        let q = self.queue(ci, drain);
+        let Some(idx) = q.iter().position(|r| !urgent.contains(&r.dram.rank)) else {
+            return false;
         };
+        let (rank, bank, row) = (q[idx].dram.rank, q[idx].dram.bank, q[idx].dram.row);
         let is_read = !drain;
         let ch = &self.channels[ci].chan;
         match ch.open_row(rank, bank) {
@@ -1101,57 +1203,33 @@ impl MemoryController {
         }
     }
 
-    /// Index (in queue order, i.e. oldest-first) of the first request not
-    /// targeting an urgent rank for which `pred` holds.
-    fn find_request(
-        &self,
-        ci: usize,
-        drain: bool,
-        urgent: &[u8],
-        pred: impl Fn(&Channel, &Request) -> bool,
-    ) -> Option<usize> {
-        let ch = &self.channels[ci];
-        self.queue(ci, drain)
-            .iter()
-            .enumerate()
-            .find(|(_, r)| !urgent.contains(&r.dram.rank) && pred(&ch.chan, r))
-            .map(|(i, _)| i)
-    }
-
     fn issue_cas(&mut self, ci: usize, idx: usize, drain: bool, now: Cycle) -> bool {
-        let req = if drain {
-            self.channels[ci].write_q[idx].clone()
-        } else {
-            self.channels[ci].read_q[idx].clone()
+        let (token, dram, class) = {
+            let r = &self.queue(ci, drain)[idx];
+            (r.token, r.dram, r.service_class())
         };
         // Closed-page policy: auto-precharge when no other queued request
         // (either queue) still wants this row.
         let auto_pre = self.config.row_policy == RowPolicy::Closed && {
             let ch = &self.channels[ci];
             let wants_row = |r: &Request| {
-                r.token != req.token
-                    && r.dram.rank == req.dram.rank
-                    && r.dram.bank == req.dram.bank
-                    && r.dram.row == req.dram.row
+                r.token != token
+                    && r.dram.rank == dram.rank
+                    && r.dram.bank == dram.bank
+                    && r.dram.row == dram.row
             };
             !ch.read_q.iter().any(wants_row) && !ch.write_q.iter().any(wants_row)
         };
         let ch = &mut self.channels[ci];
         let result = match (drain, auto_pre) {
-            (true, false) => ch
+            (true, false) => ch.chan.write(dram.rank, dram.bank, dram.col, now),
+            (true, true) => ch
                 .chan
-                .write(req.dram.rank, req.dram.bank, req.dram.col, now),
-            (true, true) => {
-                ch.chan
-                    .write_auto_precharge(req.dram.rank, req.dram.bank, req.dram.col, now)
-            }
-            (false, false) => ch
+                .write_auto_precharge(dram.rank, dram.bank, dram.col, now),
+            (false, false) => ch.chan.read(dram.rank, dram.bank, dram.col, now),
+            (false, true) => ch
                 .chan
-                .read(req.dram.rank, req.dram.bank, req.dram.col, now),
-            (false, true) => {
-                ch.chan
-                    .read_auto_precharge(req.dram.rank, req.dram.bank, req.dram.col, now)
-            }
+                .read_auto_precharge(dram.rank, dram.bank, dram.col, now),
         };
         let Ok(data_end) = result else { return false };
         self.activity = true;
@@ -1164,9 +1242,9 @@ impl MemoryController {
                 self.telemetry.sched_cas_read.inc();
                 TraceEventKind::Read
             };
-            self.trace_event(kind, now, req.dram.rank as u64, req.dram.bank as u64);
+            self.trace_event(kind, now, dram.rank as u64, dram.bank as u64);
         }
-        match req.service_class() {
+        match class {
             crate::request::ServiceClass::RowHit => self.stats.row_hits += 1,
             crate::request::ServiceClass::RowMiss => self.stats.row_misses += 1,
             crate::request::ServiceClass::RowConflict => self.stats.row_conflicts += 1,
@@ -1611,6 +1689,136 @@ mod tests {
             .counters
             .powerdown_cycles;
         assert!(pd > 50, "power-down residency recorded ({pd})");
+    }
+
+    /// The state `settled` vouches the next tick leaves alone: per channel
+    /// the drain flag, per rank the idle tracking and power state.
+    type SettleState = Vec<(bool, Vec<(Option<Cycle>, bool)>)>;
+
+    fn settle_state(ctl: &MemoryController) -> SettleState {
+        ctl.channels
+            .iter()
+            .map(|ch| {
+                let ranks = (0..ctl.geometry.ranks)
+                    .map(|r| (ch.rank_idle_since[r as usize], ch.chan.rank_powered_down(r)))
+                    .collect();
+                (ch.draining, ranks)
+            })
+            .collect()
+    }
+
+    /// Ticks `from..to`. Whenever the controller is settled before a tick,
+    /// that tick must leave the drain flag and idle tracking alone, apart
+    /// from power-down entry (a reported edge). Returns the number of
+    /// ticks that started unsettled.
+    fn tick_checking_settled(ctl: &mut MemoryController, from: Cycle, to: Cycle) -> usize {
+        let mut unsettled = 0;
+        for now in from..to {
+            let settled = ctl.settled();
+            let before = settle_state(ctl);
+            ctl.tick(now);
+            if !settled {
+                unsettled += 1;
+                continue;
+            }
+            let after = settle_state(ctl);
+            for ((drain_b, ranks_b), (drain_a, ranks_a)) in before.iter().zip(&after) {
+                assert_eq!(drain_b, drain_a, "settled tick {now} flipped write drain");
+                for (b, a) in ranks_b.iter().zip(ranks_a) {
+                    let entry = b.0.is_some() && !b.1 && *a == (None, true);
+                    assert!(
+                        a == b || entry,
+                        "settled tick {now} changed idle tracking {b:?} -> {a:?}"
+                    );
+                }
+            }
+        }
+        unsettled
+    }
+
+    fn powerdown_controller(threshold: u32) -> MemoryController {
+        let g = Geometry::tiny();
+        let mut cfg = ControllerConfig::msc_default();
+        cfg.refresh_enabled = false;
+        cfg.powerdown_idle_threshold = Some(threshold);
+        MemoryController::new(
+            g,
+            TimingSet::default(),
+            cfg,
+            Box::new(PageInterleave::new(g)),
+            Box::new(NormalPolicy),
+        )
+    }
+
+    #[test]
+    fn settled_is_false_at_the_drain_watermarks() {
+        let mut ctl = controller(false);
+        for i in 0..23 {
+            assert!(ctl.enqueue_write(0, PhysAddr(i * 4096)));
+        }
+        assert!(ctl.settled(), "below the high watermark");
+        assert!(ctl.enqueue_write(0, PhysAddr(23 * 4096)));
+        assert!(!ctl.settled(), "high watermark reached: drain flip pending");
+        ctl.tick(0);
+        assert!(ctl.is_draining(0) && ctl.settled());
+        // Drain down to the low watermark: the CAS that empties the queue
+        // to it leaves the flip back pending for one tick.
+        let mut saw_low = false;
+        for now in 1..2_000 {
+            ctl.tick(now);
+            if ctl.is_draining(0) && ctl.write_queue_len(0) <= 8 {
+                assert!(!ctl.settled(), "low watermark reached: drain flip pending");
+                saw_low = true;
+            }
+        }
+        assert!(saw_low && !ctl.is_draining(0) && ctl.settled());
+
+        // The same crossings, checked tick by tick against the state.
+        let mut ctl = controller(false);
+        for i in 0..24 {
+            assert!(ctl.enqueue_write(0, PhysAddr(i * 4096)));
+        }
+        assert!(tick_checking_settled(&mut ctl, 0, 2_000) >= 2);
+        assert!(ctl.stats().drain_cycles > 0 && !ctl.is_draining(0));
+    }
+
+    #[test]
+    fn settled_tracks_rank_idle_set_and_clear() {
+        let mut ctl = powerdown_controller(30);
+        // No tick yet: the idle rank's tracking has not started.
+        assert!(!ctl.settled());
+        ctl.tick(0);
+        assert!(ctl.channels[0].rank_idle_since[0].is_some() && ctl.settled());
+        // New work clears the tracking on the next tick.
+        ctl.enqueue_read(0, PhysAddr(0)).unwrap();
+        assert!(!ctl.settled(), "idle tracking clear pending");
+        ctl.tick(1);
+        assert!(ctl.channels[0].rank_idle_since[0].is_none() && ctl.settled());
+        // Once the read leaves the queue, the tracking restarts.
+        let mut now = 2;
+        while ctl.read_queue_len(0) > 0 {
+            ctl.tick(now);
+            now += 1;
+        }
+        assert!(!ctl.settled(), "idle tracking set pending");
+        ctl.tick(now);
+        assert!(ctl.settled());
+        assert_eq!(tick_checking_settled(&mut ctl, now + 1, 200), 0);
+        assert!(ctl.channels[0].chan.rank_powered_down(0));
+    }
+
+    #[test]
+    fn settled_is_false_for_a_powered_down_rank_with_work() {
+        let mut ctl = powerdown_controller(30);
+        ctl.enqueue_read(0, PhysAddr(0)).unwrap();
+        assert!(tick_checking_settled(&mut ctl, 0, 200) >= 1);
+        assert!(ctl.channels[0].chan.rank_powered_down(0) && ctl.settled());
+        ctl.enqueue_read(0, PhysAddr(4096)).unwrap();
+        assert!(!ctl.settled(), "wake pending for the queued read");
+        ctl.tick(200);
+        assert!(!ctl.channels[0].chan.rank_powered_down(0) && ctl.settled());
+        assert!(tick_checking_settled(&mut ctl, 201, 400) >= 1);
+        assert!(ctl.channels[0].chan.rank_powered_down(0));
     }
 
     #[test]

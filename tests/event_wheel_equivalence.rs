@@ -181,6 +181,88 @@ fn wheel_wakes_only_where_the_controller_acts() {
     assert_eq!(d.dense_cycles, report.total_mem_cycles);
 }
 
+/// Like [`assert_identical`], and also checks that the wheel jumped from
+/// active-but-settled cycles, the entry path these cases pin. Returns the
+/// report for case-specific checks.
+fn assert_settled_identical(label: &str, cfg: &SystemConfig) -> RunReport {
+    let mut wheel = System::build(cfg);
+    assert!(
+        wheel.run_until(u64::MAX),
+        "{label}: wheel run did not finish"
+    );
+    let settled = wheel.wheel_stats().settled_attempts;
+    let report = wheel.report();
+    let mut dense = System::build(cfg);
+    dense.set_skip_ahead(false);
+    assert_eq!(
+        report,
+        dense.run(),
+        "{label}: wheel and dense reports differ"
+    );
+    assert!(settled > 0, "{label}: no jump from an active settled cycle");
+    report
+}
+
+#[test]
+fn write_drain_crossings_are_wheel_identical() {
+    // Write-heavy profiles: stream drives the write queue across both
+    // drain watermarks (the cycle before each flip is active and not
+    // settled); comm2's writes stay below the high watermark.
+    let mut drained = Vec::new();
+    for workload in ["stream", "comm2"] {
+        let cfg = SystemConfig::single_core(workload, 3_000)
+            .with_mode(mode(2, 2))
+            .with_seed(1);
+        let report = assert_settled_identical(&format!("{workload} 2/2x/100"), &cfg);
+        drained.push(report.controller.drain_cycles);
+    }
+    assert!(drained[0] > 0, "stream never drained: {drained:?}");
+}
+
+#[test]
+fn fcfs_and_closed_row_settled_jumps_are_wheel_identical() {
+    // The fold's FCFS branch and the `now + 1` clamp (auto-precharged
+    // rows reopen on commands that may already be legal).
+    for workload in ["libq", "comm2"] {
+        let fcfs = SystemConfig::single_core(workload, 3_000)
+            .with_mode(mode(4, 4))
+            .with_scheduler(SchedulerKind::Fcfs)
+            .with_seed(1);
+        assert_settled_identical(&format!("{workload} fcfs"), &fcfs);
+        let closed = SystemConfig::single_core(workload, 3_000)
+            .with_mode(mode(1, 2))
+            .with_row_policy(RowPolicy::Closed)
+            .with_seed(1);
+        assert_settled_identical(&format!("{workload} closed-row"), &closed);
+        let both = closed.with_scheduler(SchedulerKind::Fcfs);
+        assert_settled_identical(&format!("{workload} fcfs closed-row"), &both);
+    }
+}
+
+#[test]
+fn powerdown_transitions_after_active_cycles_are_wheel_identical() {
+    // Short thresholds put idle-tracking starts, power-down entries and
+    // wakes right behind the active cycles that retire a rank's last
+    // request or queue a new one.
+    for (workload, threshold) in [("libq", 8), ("mummer", 16), ("black", 24)] {
+        let cfg = SystemConfig::single_core(workload, 3_000)
+            .with_mode(mode(2, 4))
+            .with_powerdown(threshold)
+            .with_seed(1);
+        let report = assert_settled_identical(&format!("{workload} pd{threshold}"), &cfg);
+        assert!(
+            report.telemetry.powerdown_entries > 0,
+            "{workload}: never powered down"
+        );
+    }
+    let mixes = multi_programmed_mixes(2015);
+    let cfg = SystemConfig::multi_core(mixes[1].cores, 1_500)
+        .with_mode(McrMode::headline())
+        .with_powerdown(16)
+        .with_seed(1);
+    assert_settled_identical(&format!("{} pd16", mixes[1].name), &cfg);
+}
+
 #[test]
 fn mid_run_mode_change_lands_on_the_same_cycle() {
     // A reconfigure between run_until calls must observe the exact same
