@@ -15,9 +15,9 @@
 //!   nonzero throughput and the table covers every registered backend
 //!   (`make check` sets this).
 
-use mcr_bench::{header, timed};
+use mcr_bench::{header, round3, timed};
 use mcr_dram::{CompareSpec, System};
-use std::fmt::Write as _;
+use sim_json::Json;
 use std::path::{Path, PathBuf};
 use std::time::Instant;
 
@@ -69,28 +69,28 @@ fn main() {
             .map(|&(_, ns)| ns)
             .expect("baseline backend in the default registry");
 
-        let mut json = format!(
-            "{{\n  \"trace_len\": {},\n  \"iters\": {ITERS},\n  \"backends\": [\n",
-            spec.len
-        );
-        for (i, (name, ns)) in rows.iter().enumerate() {
+        let mut entries = Vec::new();
+        for (name, ns) in &rows {
             let points_per_sec = 1e9 / *ns as f64;
             let speedup = baseline_ns as f64 / *ns as f64;
             println!(
                 "{name:<10} {ns:>12} ns/point   {points_per_sec:>8.2} points/s   \
                  speedup vs baseline {speedup:>5.2}x"
             );
-            let _ = writeln!(
-                json,
-                "    {{\"backend\": \"{name}\", \"wall_ns\": {ns}, \
-                 \"points_per_sec\": {points_per_sec:.3}, \
-                 \"speedup_vs_baseline\": {speedup:.3}}}{}",
-                if i + 1 < rows.len() { "," } else { "" }
-            );
+            entries.push(Json::obj([
+                ("backend", Json::str(name.as_str())),
+                ("wall_ns", Json::from(*ns)),
+                ("points_per_sec", Json::Num(round3(points_per_sec))),
+                ("speedup_vs_baseline", Json::Num(round3(speedup))),
+            ]));
         }
-        json.push_str("  ]\n}\n");
+        let json = Json::obj([
+            ("trace_len", Json::from(spec.len)),
+            ("iters", Json::from(u64::from(ITERS))),
+            ("backends", Json::Arr(entries)),
+        ]);
         let out = repo_root().join("BENCH_compare.json");
-        std::fs::write(&out, json).expect("write BENCH_compare.json");
+        std::fs::write(&out, json.to_pretty()).expect("write BENCH_compare.json");
         println!("wrote {}", out.display());
 
         if std::env::var("MCR_BENCH_GATE").as_deref() == Ok("1") {

@@ -16,11 +16,13 @@
 //! - `MCR_BENCH_GATE=1`    — fail when any case wakes futilely on a
 //!   refresh edge (exact, machine-independent), or when any case's
 //!   speedup drops below 85% of its committed baseline (`make check`
-//!   sets this).
+//!   sets this). A missing baseline skips the speedup half; one that
+//!   does not parse fails it.
 
-use mcr_bench::{header, timed};
+use mcr_bench::{header, round3, timed};
 use mcr_dram::{McrMode, RunReport, System, SystemConfig, WheelStats};
 use mem_controller::EdgeSource;
+use sim_json::Json;
 use std::path::{Path, PathBuf};
 use std::time::Instant;
 use trace_gen::{Suite, WorkloadProfile};
@@ -132,52 +134,49 @@ fn run_case(name: &'static str, cfg: &SystemConfig) -> CaseResult {
     out
 }
 
-/// One bench entry per line so the baseline parser can stay line-based.
-fn to_json(results: &[CaseResult], len: usize) -> String {
-    let mut out = String::from("{\n");
-    out.push_str(&format!("  \"trace_len\": {len},\n  \"benches\": [\n"));
-    for (i, r) in results.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"name\": \"{}\", \"wheel_ns\": {}, \"dense_ns\": {}, \"speedup\": {:.3}, \
-             \"dense_cycles\": {}, \"attempts\": {}, \"empty_attempts\": {}, \
-             \"settled_attempts\": {}, \"skipped_cycles\": {}, \"wakes\": {}, \"futile_wakes\": {}, \
-             \"futile_refresh_wakes\": {}, \"batched_core_cycles\": {}}}{}\n",
-            r.name,
-            r.wheel_ns,
-            r.dense_ns,
-            r.speedup(),
-            r.wheel.dense_cycles,
-            r.wheel.attempts,
-            r.wheel.empty_attempts,
-            r.wheel.settled_attempts,
-            r.wheel.skipped_cycles,
-            r.wheel.total_wakes(),
-            r.wheel.total_futile(),
-            r.futile_refresh(),
-            r.wheel.batched_core_cycles,
-            if i + 1 == results.len() { "" } else { "," }
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
+/// The `BENCH_core.json` document: trace length plus one entry per case.
+fn to_json(results: &[CaseResult], len: usize) -> Json {
+    let benches = results.iter().map(|r| {
+        Json::obj([
+            ("name", Json::str(r.name)),
+            ("wheel_ns", Json::from(r.wheel_ns)),
+            ("dense_ns", Json::from(r.dense_ns)),
+            ("speedup", Json::Num(round3(r.speedup()))),
+            ("dense_cycles", Json::from(r.wheel.dense_cycles)),
+            ("attempts", Json::from(r.wheel.attempts)),
+            ("empty_attempts", Json::from(r.wheel.empty_attempts)),
+            ("settled_attempts", Json::from(r.wheel.settled_attempts)),
+            ("skipped_cycles", Json::from(r.wheel.skipped_cycles)),
+            ("wakes", Json::from(r.wheel.total_wakes())),
+            ("futile_wakes", Json::from(r.wheel.total_futile())),
+            ("futile_refresh_wakes", Json::from(r.futile_refresh())),
+            (
+                "batched_core_cycles",
+                Json::from(r.wheel.batched_core_cycles),
+            ),
+        ])
+    });
+    Json::obj([
+        ("trace_len", Json::from(len)),
+        ("benches", Json::Arr(benches.collect())),
+    ])
 }
 
-/// Extracts `(name, speedup)` pairs from the one-entry-per-line JSON
-/// written by [`to_json`]. Unparseable lines are skipped.
-fn parse_baseline(text: &str) -> Vec<(String, f64)> {
-    let field = |line: &str, key: &str| -> Option<String> {
-        let start = line.find(&format!("\"{key}\": "))? + key.len() + 4;
-        let rest = &line[start..];
-        let end = rest.find([',', '}'])?;
-        Some(rest[..end].trim().trim_matches('"').to_string())
-    };
-    text.lines()
-        .filter_map(|line| {
-            let name = field(line, "name")?;
-            let speedup = field(line, "speedup")?.parse().ok()?;
-            Some((name, speedup))
+/// `(name, speedup)` of every `benches` entry of a document written by
+/// [`to_json`]; entries missing either member are left out.
+fn parse_baseline(text: &str) -> Result<Vec<(String, f64)>, String> {
+    let doc = Json::parse(text).map_err(|e| e.to_string())?;
+    let benches = doc
+        .get("benches")
+        .and_then(Json::as_array)
+        .ok_or("no \"benches\" array")?;
+    Ok(benches
+        .iter()
+        .filter_map(|b| {
+            let name = b.get("name")?.as_str()?;
+            Some((name.to_string(), b.get("speedup")?.as_f64()?))
         })
-        .collect()
+        .collect())
 }
 
 /// Deterministic half of the gate: no case may wake on a refresh edge
@@ -203,7 +202,12 @@ fn gate(results: &[CaseResult], baseline_path: &Path) {
         println!("[gate] no {} — gate skipped", baseline_path.display());
         return;
     };
-    let baseline = parse_baseline(&text);
+    let baseline = parse_baseline(&text).unwrap_or_else(|e| {
+        panic!(
+            "[gate] {} is not a bench-core document ({e}); fix or re-bless it",
+            baseline_path.display()
+        )
+    });
     let mut failures = Vec::new();
     for r in results {
         let Some((_, base)) = baseline.iter().find(|(n, _)| n == r.name) else {
@@ -278,7 +282,7 @@ fn main() {
         let root = repo_root();
         let current = root.join("BENCH_core.json");
         let baseline = root.join("BENCH_baseline.json");
-        let json = to_json(&results, len);
+        let json = to_json(&results, len).to_pretty();
         std::fs::write(&current, &json).expect("write BENCH_core.json");
         println!("wrote {}", current.display());
 

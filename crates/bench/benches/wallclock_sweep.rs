@@ -12,9 +12,10 @@
 //! - `MCR_BENCH_GATE=1`    — fail when the warm-over-cold speedup drops
 //!   below [`GATE_FLOOR`] (`make check` sets this).
 
-use mcr_bench::{header, timed};
+use mcr_bench::{header, round3, timed};
 use mcr_dram::{McrMode, Mechanisms, Sweep, SweepBuilder, SweepResults};
 use mcr_store::ResultStore;
+use sim_json::Json;
 use std::path::{Path, PathBuf};
 use std::time::Instant;
 
@@ -127,13 +128,16 @@ fn main() {
              speedup {speedup:>7.2}x"
         );
 
-        let json = format!(
-            "{{\n  \"trace_len\": {len},\n  \"points\": {points},\n  \
-             \"cold_ns\": {cold_ns},\n  \"warm_ns\": {warm_ns},\n  \
-             \"speedup\": {speedup:.3},\n  \"gate_floor\": {GATE_FLOOR}\n}}\n"
-        );
+        let json = Json::obj([
+            ("trace_len", Json::from(len)),
+            ("points", Json::from(points)),
+            ("cold_ns", Json::from(cold_ns)),
+            ("warm_ns", Json::from(warm_ns)),
+            ("speedup", Json::Num(round3(speedup))),
+            ("gate_floor", Json::Num(GATE_FLOOR)),
+        ]);
         let out = repo_root().join("BENCH_sweep.json");
-        std::fs::write(&out, json).expect("write BENCH_sweep.json");
+        std::fs::write(&out, json.to_pretty()).expect("write BENCH_sweep.json");
         println!("wrote {}", out.display());
 
         if std::env::var("MCR_BENCH_GATE").as_deref() == Ok("1") {

@@ -123,11 +123,17 @@ pub fn json_out(name: &str, results: &SweepResults) {
         return;
     };
     let path = PathBuf::from(dir).join(format!("{name}.json"));
-    if let Err(e) = std::fs::write(&path, results.to_json()) {
+    if let Err(e) = std::fs::write(&path, results.to_json().to_pretty()) {
         eprintln!("json_out: failed to write {}: {e}", path.display());
     } else {
         println!("wrote {}", path.display());
     }
+}
+
+/// Rounds to three decimals: the precision the `BENCH_*.json` files
+/// record ratios and rates at.
+pub fn round3(x: f64) -> f64 {
+    (x * 1000.0).round() / 1000.0
 }
 
 /// Arithmetic mean.

@@ -22,10 +22,12 @@
 //! assert_eq!(table.rows.len(), 4); // baseline, mcr, tldram, clrdram
 //! ```
 
+use sim_json::Json;
 use trace_gen::{multi_programmed_mixes, multi_threaded_group, workload, Mix};
 
 use crate::backend::{registered_backends, BackendKind, BackendSpec};
 use crate::mode::McrMode;
+use crate::report::refresh_json;
 use crate::sweep::{Sweep, SweepBuilder, SweepResults};
 use crate::system::SystemConfig;
 
@@ -247,17 +249,6 @@ fn csv_field(s: &str) -> String {
     }
 }
 
-fn json_escape(s: &str) -> String {
-    s.chars()
-        .flat_map(|c| match c {
-            '"' => "\\\"".chars().collect::<Vec<_>>(),
-            '\\' => "\\\\".chars().collect(),
-            c if (c as u32) < 0x20 => format!("\\u{:04x}", c as u32).chars().collect(),
-            c => vec![c],
-        })
-        .collect()
-}
-
 impl CompareTable {
     /// Plain-text table: one aligned row per backend, speedup rendered
     /// as `-` when no baseline row exists.
@@ -330,43 +321,33 @@ impl CompareTable {
         out
     }
 
-    /// Deterministic JSON rendering (stable key order, `null` speedup
-    /// when no baseline row exists).
-    pub fn to_json(&self) -> String {
-        let mut out = format!(
-            "{{\n  \"target\": \"{}\",\n  \"len\": {},\n  \"seed\": {},\n  \"rows\": [\n",
-            json_escape(&self.target),
-            self.len,
-            self.seed
-        );
-        for (i, r) in self.rows.iter().enumerate() {
-            let speedup = r
-                .speedup
-                .map(|s| s.to_string())
-                .unwrap_or_else(|| "null".to_string());
-            out.push_str(&format!(
-                concat!(
-                    "    {{\"backend\": \"{}\", \"label\": \"{}\", ",
-                    "\"exec_cpu_cycles\": {}, \"avg_read_latency\": {}, ",
-                    "\"edp\": {}, \"reads_done\": {}, ",
-                    "\"refresh\": {{\"normal\": {}, \"fast\": {}, \"skipped\": {}}}, ",
-                    "\"speedup_vs_baseline\": {}}}{}\n"
+    /// JSON rendering (stable key order, `null` speedup when no
+    /// baseline row exists).
+    pub fn to_json(&self) -> Json {
+        let rows = self.rows.iter().map(|r| {
+            Json::obj([
+                ("backend", Json::str(r.backend.as_str())),
+                ("label", Json::str(r.label.as_str())),
+                ("exec_cpu_cycles", Json::from(r.exec_cpu_cycles)),
+                ("avg_read_latency", Json::from(r.avg_read_latency)),
+                ("edp", Json::from(r.edp)),
+                ("reads_done", Json::from(r.reads_done)),
+                (
+                    "refresh",
+                    refresh_json(r.refresh_normal, r.refresh_fast, r.refresh_skipped),
                 ),
-                json_escape(&r.backend),
-                json_escape(&r.label),
-                r.exec_cpu_cycles,
-                r.avg_read_latency,
-                r.edp,
-                r.reads_done,
-                r.refresh_normal,
-                r.refresh_fast,
-                r.refresh_skipped,
-                speedup,
-                if i + 1 < self.rows.len() { "," } else { "" },
-            ));
-        }
-        out.push_str("  ]\n}\n");
-        out
+                (
+                    "speedup_vs_baseline",
+                    r.speedup.map_or(Json::Null, Json::from),
+                ),
+            ])
+        });
+        Json::obj([
+            ("target", Json::str(self.target.as_str())),
+            ("len", Json::from(self.len)),
+            ("seed", Json::from(self.seed)),
+            ("rows", Json::Arr(rows.collect())),
+        ])
     }
 }
 
@@ -452,12 +433,12 @@ mod tests {
         assert_eq!(csv.lines().count(), table.rows.len() + 1);
         assert!(csv.starts_with("backend,exec_cpu_cycles"));
 
-        let json = table.to_json();
+        let json = table.to_json().to_pretty();
         assert!(json.contains("\"speedup_vs_baseline\": 1"));
 
         // Same spec re-run (memoized or not) renders byte-identically.
         let again = spec.table(&spec.sweep(Some(2)).unwrap().run());
-        assert_eq!(json, again.to_json());
+        assert_eq!(json, again.to_json().to_pretty());
     }
 
     #[test]
@@ -470,7 +451,10 @@ mod tests {
         let results = spec.sweep(Some(1)).expect("valid spec").run();
         let table = spec.table(&results);
         assert!(table.rows.iter().all(|r| r.speedup.is_none()));
-        assert!(table.to_json().contains("\"speedup_vs_baseline\": null"));
+        assert!(table
+            .to_json()
+            .to_pretty()
+            .contains("\"speedup_vs_baseline\": null"));
         assert!(table.to_text().lines().skip(2).all(|l| l.ends_with('-')));
     }
 }

@@ -4,11 +4,13 @@
 //! downstream tooling a machine-readable path: collect [`Outcome`]s into a
 //! [`ResultTable`] and render it as CSV or an aligned text table, or
 //! export a run's [`Telemetry`] section as JSON / CSV
-//! ([`telemetry_to_json`], [`telemetry_to_csv`]).
+//! ([`telemetry_to_json`], [`telemetry_to_csv`]). [`histogram_json`] is
+//! the one JSON summary of a histogram that every document shares.
 
 use crate::experiments::Outcome;
 use crate::telemetry::Telemetry;
 use mcr_telemetry::LatencyHistogram;
+use sim_json::Json;
 use std::fmt::Write as _;
 
 /// A labelled collection of experiment outcomes (rows) under named
@@ -109,120 +111,99 @@ impl Extend<Outcome> for ResultTable {
     }
 }
 
-/// JSON has no NaN/Infinity literals; map them to null.
-fn opt_f64_json(x: f64) -> String {
-    if x.is_finite() {
-        format!("{x}")
-    } else {
-        "null".to_string()
-    }
-}
-
-fn opt_u64_json(x: Option<u64>) -> String {
-    match x {
-        Some(v) => format!("{v}"),
-        None => "null".to_string(),
-    }
-}
-
-fn hist_json(h: &LatencyHistogram) -> String {
-    let buckets: Vec<String> = h
+/// The summary view of a histogram that every JSON document uses:
+/// count/sum/min/max, the mean, the p50/p95/p99 percentiles and the
+/// non-empty `[upper_bound, count]` buckets. An empty histogram has
+/// `null` min/max/mean/percentiles.
+pub fn histogram_json(h: &LatencyHistogram) -> Json {
+    let opt = |v: Option<u64>| v.map_or(Json::Null, Json::from);
+    let buckets = h
         .nonzero_buckets()
-        .iter()
-        .map(|(ub, n)| format!("[{ub}, {n}]"))
-        .collect();
-    format!(
-        concat!(
-            "{{\"count\": {}, \"sum\": {}, \"min\": {}, \"max\": {}, ",
-            "\"mean\": {}, \"p50\": {}, \"p95\": {}, \"p99\": {}, ",
-            "\"buckets\": [{}]}}"
-        ),
-        h.count(),
-        h.sum(),
-        opt_u64_json(h.min()),
-        opt_u64_json(h.max()),
-        opt_f64_json(h.mean()),
-        opt_u64_json(h.p50()),
-        opt_u64_json(h.p95()),
-        opt_u64_json(h.p99()),
-        buckets.join(", "),
-    )
+        .into_iter()
+        .map(|(ub, n)| Json::Arr(vec![ub.into(), n.into()]));
+    Json::obj([
+        ("count", Json::from(h.count())),
+        ("sum", Json::from(h.sum())),
+        ("min", opt(h.min())),
+        ("max", opt(h.max())),
+        ("mean", Json::from(h.mean())),
+        ("p50", opt(h.p50())),
+        ("p95", opt(h.p95())),
+        ("p99", opt(h.p99())),
+        ("buckets", Json::Arr(buckets.collect())),
+    ])
 }
 
-/// Renders a run's [`Telemetry`] section as a self-contained JSON object
-/// (what `mcr_sim --metrics` prints).
-///
-/// Histograms export count/sum/min/max, the mean, the p50/p95/p99
-/// percentiles and the non-empty `[upper_bound, count]` buckets; empty
-/// histograms export `null` for min/max/mean/percentiles. Output is
-/// deterministic: same telemetry, same string.
-pub fn telemetry_to_json(t: &Telemetry) -> String {
-    let mut out = String::from("{\n");
-    let _ = writeln!(out, "  \"refreshes_normal\": {},", t.refreshes_normal);
-    let _ = writeln!(out, "  \"refreshes_fast\": {},", t.refreshes_fast);
-    let _ = writeln!(out, "  \"powerdown_entries\": {},", t.powerdown_entries);
-    let _ = writeln!(out, "  \"mode_changes\": {},", t.mode_changes);
+/// The `{"normal", "fast", "skipped"}` refresh-slot counts that the
+/// sweep and compare documents carry per point.
+pub(crate) fn refresh_json(normal: u64, fast: u64, skipped: u64) -> Json {
+    Json::obj([
+        ("normal", Json::from(normal)),
+        ("fast", Json::from(fast)),
+        ("skipped", Json::from(skipped)),
+    ])
+}
+
+/// A run's [`Telemetry`] section as a self-contained JSON object (what
+/// `mcr_sim --metrics` prints), with every histogram in the
+/// [`histogram_json`] view. Same telemetry, same document.
+pub fn telemetry_to_json(t: &Telemetry) -> Json {
     let c = &t.controller;
-    let _ = writeln!(out, "  \"sched\": {{");
-    let _ = writeln!(out, "    \"activates\": {},", c.sched_activates.get());
-    let _ = writeln!(out, "    \"cas_read\": {},", c.sched_cas_read.get());
-    let _ = writeln!(out, "    \"cas_write\": {},", c.sched_cas_write.get());
-    let _ = writeln!(out, "    \"precharges\": {},", c.sched_precharges.get());
-    let _ = writeln!(out, "    \"refreshes\": {}", c.sched_refreshes.get());
-    let _ = writeln!(out, "  }},");
-    let _ = writeln!(out, "  \"act_to_data\": {},", hist_json(&t.act_to_data));
-    let _ = writeln!(out, "  \"read_latency\": {},", hist_json(&c.read_latency));
-    let _ = writeln!(
-        out,
-        "  \"read_queue_depth\": {},",
-        hist_json(&c.read_queue_depth)
-    );
-    let _ = writeln!(
-        out,
-        "  \"write_queue_depth\": {},",
-        hist_json(&c.write_queue_depth)
-    );
-    let _ = writeln!(
-        out,
-        "  \"core_read_latency\": {},",
-        hist_json(&t.core_read_latency)
-    );
-    let _ = writeln!(out, "  \"retention\": {{");
-    let _ = writeln!(out, "    \"checks\": {},", t.retention_checks);
-    let _ = writeln!(out, "    \"violations\": {},", t.retention_violations);
-    let _ = writeln!(out, "    \"escapes\": {},", t.retention_escapes);
-    let _ = writeln!(out, "    \"retries\": {},", c.retention_retries.get());
-    let _ = writeln!(
-        out,
-        "    \"guardband_degrades\": {},",
-        c.guardband_degrades.get()
-    );
-    let _ = writeln!(
-        out,
-        "    \"guardband_rearms\": {}",
-        c.guardband_rearms.get()
-    );
-    let _ = writeln!(out, "  }},");
-    let _ = writeln!(
-        out,
-        "  \"retention_detect_latency\": {},",
-        hist_json(&t.retention_detect_latency)
-    );
-    let _ = writeln!(out, "  \"banks\": [");
-    for (i, b) in t.banks.iter().enumerate() {
-        let sep = if i + 1 == t.banks.len() { "" } else { "," };
-        let _ = writeln!(
-            out,
-            concat!(
-                "    {{\"channel\": {}, \"rank\": {}, \"bank\": {}, ",
-                "\"activates\": {}, \"reads\": {}, \"writes\": {}, ",
-                "\"precharges\": {}}}{}"
+    Json::obj([
+        ("refreshes_normal", Json::from(t.refreshes_normal)),
+        ("refreshes_fast", Json::from(t.refreshes_fast)),
+        ("powerdown_entries", Json::from(t.powerdown_entries)),
+        ("mode_changes", Json::from(t.mode_changes)),
+        (
+            "sched",
+            Json::obj([
+                ("activates", Json::from(c.sched_activates.get())),
+                ("cas_read", Json::from(c.sched_cas_read.get())),
+                ("cas_write", Json::from(c.sched_cas_write.get())),
+                ("precharges", Json::from(c.sched_precharges.get())),
+                ("refreshes", Json::from(c.sched_refreshes.get())),
+            ]),
+        ),
+        ("act_to_data", histogram_json(&t.act_to_data)),
+        ("read_latency", histogram_json(&c.read_latency)),
+        ("read_queue_depth", histogram_json(&c.read_queue_depth)),
+        ("write_queue_depth", histogram_json(&c.write_queue_depth)),
+        ("core_read_latency", histogram_json(&t.core_read_latency)),
+        (
+            "retention",
+            Json::obj([
+                ("checks", Json::from(t.retention_checks)),
+                ("violations", Json::from(t.retention_violations)),
+                ("escapes", Json::from(t.retention_escapes)),
+                ("retries", Json::from(c.retention_retries.get())),
+                ("guardband_degrades", Json::from(c.guardband_degrades.get())),
+                ("guardband_rearms", Json::from(c.guardband_rearms.get())),
+            ]),
+        ),
+        (
+            "retention_detect_latency",
+            histogram_json(&t.retention_detect_latency),
+        ),
+        (
+            "banks",
+            Json::Arr(
+                t.banks
+                    .iter()
+                    .map(|b| {
+                        Json::obj([
+                            ("channel", Json::from(b.channel)),
+                            ("rank", Json::from(b.rank)),
+                            ("bank", Json::from(b.bank)),
+                            ("activates", Json::from(b.activates)),
+                            ("reads", Json::from(b.reads)),
+                            ("writes", Json::from(b.writes)),
+                            ("precharges", Json::from(b.precharges)),
+                        ])
+                    })
+                    .collect(),
             ),
-            b.channel, b.rank, b.bank, b.activates, b.reads, b.writes, b.precharges, sep
-        );
-    }
-    out.push_str("  ]\n}\n");
-    out
+        ),
+    ])
 }
 
 fn hist_csv(out: &mut String, name: &str, h: &LatencyHistogram) {
@@ -351,8 +332,8 @@ mod tests {
             writes: 5,
             precharges: 6,
         });
-        let json = telemetry_to_json(&t);
-        assert_eq!(json, telemetry_to_json(&t));
+        let json = telemetry_to_json(&t).to_pretty();
+        assert_eq!(json, telemetry_to_json(&t).to_pretty());
         assert!(json.contains("\"refreshes_normal\": 7"));
         assert!(json.contains("\"count\": 2"));
         assert!(json.contains("\"bank\": 2"));
@@ -366,7 +347,7 @@ mod tests {
     #[test]
     fn empty_histograms_export_null_in_json() {
         let t = Telemetry::default();
-        let json = telemetry_to_json(&t);
+        let json = telemetry_to_json(&t).to_pretty();
         assert!(json.contains("\"min\": null"));
         assert!(json.contains("\"p50\": null"));
         assert!(json.contains("\"banks\": [\n  ]"));

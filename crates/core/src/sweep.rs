@@ -45,9 +45,11 @@ use std::sync::{Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 use mcr_telemetry::{Counter, LatencyHistogram};
+use sim_json::Json;
 
 use crate::mechanisms::Mechanisms;
 use crate::mode::McrMode;
+use crate::report::refresh_json;
 use crate::system::{ConfigError, RunReport, System, SystemConfig};
 use crate::telemetry::Telemetry;
 use dram_device::Cycle;
@@ -906,64 +908,31 @@ impl SweepResults {
         merged
     }
 
-    /// Serializes the results (labels, cache keys, timing, and headline
-    /// metrics) as a JSON document — no external serializer involved.
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n");
-        out.push_str(&format!(
-            "  \"jobs\": {},\n  \"wall_ns\": {},\n  \"cache_hits\": {},\n  \"points\": [\n",
-            self.jobs,
-            self.wall.as_nanos(),
-            self.cache_hits()
-        ));
-        for (i, p) in self.points.iter().enumerate() {
+    /// The results (labels, cache keys, timing, and headline metrics) as
+    /// a JSON document.
+    pub fn to_json(&self) -> Json {
+        let points = self.points.iter().map(|p| {
             let r = &p.report;
-            out.push_str(&format!(
-                concat!(
-                    "    {{\"label\": \"{}\", \"key\": \"{:016x}\", ",
-                    "\"cache_hit\": {}, \"wall_ns\": {}, ",
-                    "\"exec_cpu_cycles\": {}, \"avg_read_latency\": {}, ",
-                    "\"edp\": {}, \"reads_done\": {}, \"instructions\": {}, ",
-                    "\"refresh\": {{\"normal\": {}, \"fast\": {}, \"skipped\": {}}}}}{}\n"
-                ),
-                json_escape(&p.label),
-                p.key,
-                p.cache_hit,
-                p.wall.as_nanos(),
-                r.exec_cpu_cycles,
-                json_f64(r.avg_read_latency),
-                json_f64(r.edp),
-                r.reads_done,
-                r.instructions,
-                r.controller.refresh.normal,
-                r.controller.refresh.fast,
-                r.controller.refresh.skipped,
-                if i + 1 < self.points.len() { "," } else { "" }
-            ));
-        }
-        out.push_str("  ]\n}\n");
-        out
-    }
-}
-
-fn json_escape(s: &str) -> String {
-    s.chars()
-        .flat_map(|c| match c {
-            '"' => vec!['\\', '"'],
-            '\\' => vec!['\\', '\\'],
-            '\n' => vec!['\\', 'n'],
-            c if (c as u32) < 0x20 => format!("\\u{:04x}", c as u32).chars().collect(),
-            c => vec![c],
-        })
-        .collect()
-}
-
-/// JSON has no NaN/Infinity literals; map them to null.
-fn json_f64(x: f64) -> String {
-    if x.is_finite() {
-        format!("{x}")
-    } else {
-        "null".to_string()
+            let rf = &r.controller.refresh;
+            Json::obj([
+                ("label", Json::str(p.label.as_str())),
+                ("key", Json::str(format!("{:016x}", p.key))),
+                ("cache_hit", Json::from(p.cache_hit)),
+                ("wall_ns", Json::Num(p.wall.as_nanos() as f64)),
+                ("exec_cpu_cycles", Json::from(r.exec_cpu_cycles)),
+                ("avg_read_latency", Json::from(r.avg_read_latency)),
+                ("edp", Json::from(r.edp)),
+                ("reads_done", Json::from(r.reads_done)),
+                ("instructions", Json::from(r.instructions)),
+                ("refresh", refresh_json(rf.normal, rf.fast, rf.skipped)),
+            ])
+        });
+        Json::obj([
+            ("jobs", Json::from(self.jobs)),
+            ("wall_ns", Json::Num(self.wall.as_nanos() as f64)),
+            ("cache_hits", Json::from(self.cache_hits() as u64)),
+            ("points", Json::Arr(points.collect())),
+        ])
     }
 }
 
@@ -1094,7 +1063,7 @@ mod tests {
     #[test]
     fn json_export_is_wellformed_enough() {
         let sweep = SweepBuilder::new(LEN).workload("libq").build().unwrap();
-        let json = sweep.run().to_json();
+        let json = sweep.run().to_json().to_pretty();
         assert!(json.contains("\"points\": ["));
         assert!(json.contains("\"exec_cpu_cycles\":"));
         assert!(!json.contains("NaN"));
@@ -1144,11 +1113,5 @@ mod tests {
             panic!("unbounded budget expired")
         };
         assert_eq!(plain.points[0].report, budgeted.points[0].report);
-    }
-
-    #[test]
-    fn json_escape_handles_specials() {
-        assert_eq!(json_escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
-        assert_eq!(json_escape("\u{1}"), "\\u0001");
     }
 }

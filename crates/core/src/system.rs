@@ -1273,18 +1273,6 @@ impl System {
         }
     }
 
-    /// Advances the simulation by up to `cycles` memory cycles, stopping
-    /// early when everything is done. Returns `true` when done.
-    ///
-    /// Deprecated shim over [`System::run_until`] (`step(n)` ≡
-    /// `run_until(now() + n)`) for drivers written against the old
-    /// chunked-polling surface; new code should call
-    /// [`System::run_until`] or [`System::advance_to_next_event`]
-    /// directly.
-    pub fn step(&mut self, cycles: Cycle) -> bool {
-        self.run_until(self.mem_now.saturating_add(cycles))
-    }
-
     /// Applies ladder moves the guardband monitor decided during the last
     /// controller tick: each one is an MRS-style reprogram that re-maps
     /// rows onto the degraded (or restored) timing classes. Degradation is

@@ -211,7 +211,7 @@ pub fn run(root: &Path) -> Vec<Diagnostic> {
         0.0
     };
     let bench = Json::obj([
-        ("states", Json::from(report.states as u64)),
+        ("states", Json::from(report.states)),
         ("transitions", Json::from(report.transitions)),
         ("states_per_sec", Json::from(states_per_sec)),
         (
@@ -223,8 +223,8 @@ pub fn run(root: &Path) -> Vec<Diagnostic> {
         (
             "certify",
             Json::obj([
-                ("scenarios", Json::from(cert.scenarios as u64)),
-                ("quiet_states", Json::from(cert.quiet_states as u64)),
+                ("scenarios", Json::from(cert.scenarios)),
+                ("quiet_states", Json::from(cert.quiet_states)),
                 ("spans", Json::from(cert.spans)),
                 ("settled_spans", Json::from(cert.settled_spans)),
                 ("skipped_cycles", Json::from(cert.skipped_cycles)),
@@ -239,7 +239,7 @@ pub fn run(root: &Path) -> Vec<Diagnostic> {
                     .collect(),
             ),
         ),
-        ("counterexamples_replayed", Json::from(replayed as u64)),
+        ("counterexamples_replayed", Json::from(replayed)),
     ]);
     let bench_path = root.join("BENCH_model.json");
     if let Err(e) = std::fs::write(&bench_path, format!("{bench}\n")) {
@@ -262,7 +262,7 @@ pub fn diagnostics_to_json(passes: &[&str], diags: &[Diagnostic]) -> Json {
             "passes",
             Json::Arr(passes.iter().map(|p| Json::str(*p)).collect()),
         ),
-        ("errors", Json::from(errors as u64)),
+        ("errors", Json::from(errors)),
         ("warnings", Json::from((diags.len() - errors) as u64)),
         (
             "diagnostics",

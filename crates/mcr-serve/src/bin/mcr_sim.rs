@@ -27,7 +27,6 @@ use mcr_serve::{Client, DispatchConfig, Dispatcher, LoadtestConfig, RunSpec, Ser
 use mcr_store::ResultStore;
 use mcr_telemetry::RingRecorder;
 use sim_json::Json;
-use std::fmt::Write as _;
 use std::io::{Read as _, Write as _};
 use std::process::ExitCode;
 use trace_gen::all_workloads;
@@ -300,14 +299,14 @@ fn dump_trace(cfg: &SystemConfig, path: &str) -> Result<(), String> {
     };
     let mut out = String::new();
     for ev in ring.events() {
-        let _ = writeln!(
-            out,
-            "{{\"cycle\": {}, \"kind\": \"{}\", \"a\": {}, \"b\": {}}}",
-            ev.cycle,
-            ev.kind.name(),
-            ev.a,
-            ev.b
-        );
+        Json::obj([
+            ("cycle", Json::from(ev.cycle)),
+            ("kind", Json::str(ev.kind.name())),
+            ("a", Json::from(ev.a)),
+            ("b", Json::from(ev.b)),
+        ])
+        .write(&mut out);
+        out.push('\n');
     }
     std::fs::write(path, out).map_err(|e| format!("cannot write {path}: {e}"))?;
     eprintln!(
@@ -1006,7 +1005,7 @@ fn cache_main(argv: &[String]) -> ExitCode {
                 "{}",
                 Json::obj([
                     ("dir", Json::str(dir)),
-                    ("shards", Json::from(st.shards as u64)),
+                    ("shards", Json::from(st.shards)),
                     ("disk_entries", Json::from(st.disk_entries())),
                     ("disk_entries_per_shard", Json::Arr(per_shard)),
                     ("quarantined", Json::from(st.quarantined.get())),
@@ -1165,7 +1164,7 @@ fn compare_main(argv: &[String]) -> ExitCode {
     };
     let table = args.spec.table(&results);
     if args.json {
-        print!("{}", table.to_json());
+        print!("{}", table.to_json().to_pretty());
     } else if args.csv {
         print!("{}", table.to_csv());
     } else {
@@ -1262,9 +1261,9 @@ fn local_main(argv: Vec<String>) -> ExitCode {
         }
     };
     if args.json {
-        print!("{}", results.to_json());
+        print!("{}", results.to_json().to_pretty());
         if args.metrics {
-            print!("{}", telemetry_to_json(&run.telemetry));
+            print!("{}", telemetry_to_json(&run.telemetry).to_pretty());
         }
         return ExitCode::SUCCESS;
     }
@@ -1277,7 +1276,7 @@ fn local_main(argv: Vec<String>) -> ExitCode {
             args.mode, o.exec_reduction, o.latency_reduction, o.edp_reduction
         );
         if args.metrics {
-            print!("{}", telemetry_to_json(&run.telemetry));
+            print!("{}", telemetry_to_json(&run.telemetry).to_pretty());
         }
         return ExitCode::SUCCESS;
     }
@@ -1327,7 +1326,7 @@ fn local_main(argv: Vec<String>) -> ExitCode {
     }
     if args.metrics {
         println!();
-        print!("{}", telemetry_to_json(&run.telemetry));
+        print!("{}", telemetry_to_json(&run.telemetry).to_pretty());
     }
     ExitCode::SUCCESS
 }

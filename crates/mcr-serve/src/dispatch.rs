@@ -44,7 +44,9 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
-use mcr_dram::{CancelToken, PointResult, RunReport, Sweep, SweepExecStats, SweepResults};
+use mcr_dram::{
+    histogram_json, CancelToken, PointResult, RunReport, Sweep, SweepExecStats, SweepResults,
+};
 use mcr_telemetry::{Counter, LatencyHistogram};
 use sim_json::Json;
 use sim_rng::SmallRng;
@@ -126,25 +128,16 @@ pub struct DispatchTelemetry {
 }
 
 impl DispatchTelemetry {
-    /// JSON view, mirroring `ServeTelemetry::to_json`'s histogram shape.
+    /// JSON view (the shard histogram in the shared [`histogram_json`]
+    /// summary).
     pub fn to_json(&self) -> Json {
-        let pct = |v: Option<u64>| v.map(Json::from).unwrap_or(Json::Null);
         Json::obj([
             ("shards", Json::from(self.shards.get())),
             ("attempts", Json::from(self.attempts.get())),
             ("retries", Json::from(self.retries.get())),
             ("hedges", Json::from(self.hedges.get())),
             ("failovers", Json::from(self.failovers.get())),
-            (
-                "shard_ms",
-                Json::obj([
-                    ("count", Json::from(self.shard_ms.count())),
-                    ("sum", Json::from(self.shard_ms.sum())),
-                    ("p50", pct(self.shard_ms.p50())),
-                    ("p95", pct(self.shard_ms.p95())),
-                    ("max", pct(self.shard_ms.max())),
-                ]),
-            ),
+            ("shard_ms", histogram_json(&self.shard_ms)),
         ])
     }
 }
@@ -466,10 +459,7 @@ fn shard_request_line(doc: &Json, index: usize, count: usize, deadline: Option<I
     let mut sub = doc.clone();
     sub.set(
         "shard",
-        Json::obj([
-            ("index", Json::from(index as u64)),
-            ("count", Json::from(count as u64)),
-        ]),
+        Json::obj([("index", Json::from(index)), ("count", Json::from(count))]),
     );
     sub.set("full_reports", Json::from(true));
     if let Some(d) = deadline {

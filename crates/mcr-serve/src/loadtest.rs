@@ -18,6 +18,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
+use mcr_dram::histogram_json;
 use mcr_telemetry::LatencyHistogram;
 use sim_json::Json;
 use sim_rng::SmallRng;
@@ -125,9 +126,9 @@ impl PhaseReport {
             + self.failed
     }
 
-    /// JSON view (histogram shape matches `ServeTelemetry`).
+    /// JSON view (the latency histogram in the shared
+    /// [`histogram_json`] summary).
     pub fn to_json(&self) -> Json {
-        let pct = |v: Option<u64>| v.map(Json::from).unwrap_or(Json::Null);
         Json::obj([
             ("ok", Json::from(self.ok)),
             (
@@ -142,16 +143,7 @@ impl PhaseReport {
             ("errors", Json::from(self.errors)),
             ("failed", Json::from(self.failed)),
             ("retries", Json::from(self.retries)),
-            (
-                "latency_ms",
-                Json::obj([
-                    ("count", Json::from(self.latency_ms.count())),
-                    ("sum", Json::from(self.latency_ms.sum())),
-                    ("p50", pct(self.latency_ms.p50())),
-                    ("p95", pct(self.latency_ms.p95())),
-                    ("max", pct(self.latency_ms.max())),
-                ]),
-            ),
+            ("latency_ms", histogram_json(&self.latency_ms)),
             ("wall_ms", Json::from(self.wall_ms)),
         ])
     }
@@ -174,40 +166,32 @@ pub struct LoadtestReport {
 impl LoadtestReport {
     /// The `BENCH_serve.json` document.
     pub fn to_json(&self, cfg: &LoadtestConfig) -> Json {
-        let mut members = vec![
-            (
-                "submissions".to_string(),
-                Json::from(cfg.submissions as u64),
-            ),
-            (
-                "concurrency".to_string(),
-                Json::from(cfg.concurrency as u64),
-            ),
-            ("seed".to_string(), Json::from(cfg.seed)),
-            ("len".to_string(), Json::from(cfg.len as u64)),
-            ("chaos_rate".to_string(), Json::from(cfg.chaos_rate)),
-            ("clean".to_string(), self.clean.to_json()),
-        ];
+        let mut doc = Json::obj([
+            ("submissions", Json::from(cfg.submissions)),
+            ("concurrency", Json::from(cfg.concurrency)),
+            ("seed", Json::from(cfg.seed)),
+            ("len", Json::from(cfg.len)),
+            ("chaos_rate", Json::from(cfg.chaos_rate)),
+            ("clean", self.clean.to_json()),
+        ]);
         if let Some(chaos) = &self.chaos {
-            members.push(("chaos".to_string(), chaos.to_json()));
+            doc.set("chaos", chaos.to_json());
         }
         if let Some(st) = self.chaos_stats {
-            members.push((
-                "proxy_faults".to_string(),
-                Json::obj([
-                    ("connections", Json::from(st.connections)),
-                    ("refused", Json::from(st.refused)),
-                    ("truncated", Json::from(st.truncated)),
-                    ("delayed", Json::from(st.delayed)),
-                    ("blackholed", Json::from(st.blackholed)),
-                    ("garbage", Json::from(st.garbage)),
-                ]),
-            ));
+            let faults = Json::obj([
+                ("connections", Json::from(st.connections)),
+                ("refused", Json::from(st.refused)),
+                ("truncated", Json::from(st.truncated)),
+                ("delayed", Json::from(st.delayed)),
+                ("blackholed", Json::from(st.blackholed)),
+                ("garbage", Json::from(st.garbage)),
+            ]);
+            doc.set("proxy_faults", faults);
         }
         if let Some(stats) = &self.server_stats {
-            members.push(("server_stats".to_string(), stats.clone()));
+            doc.set("server_stats", stats.clone());
         }
-        Json::Obj(members)
+        doc
     }
 
     /// The `--check` gate: every submission classified, none lost, and
@@ -269,21 +253,21 @@ pub fn submission_line(cfg: &LoadtestConfig, i: u64) -> String {
             ("cmd", Json::str("run")),
             ("workload", Json::str(workload)),
             ("mode", Json::str(mode)),
-            ("len", Json::from(cfg.len as u64)),
+            ("len", Json::from(cfg.len)),
         ]),
         // 30 % small sweeps,
         6..=8 => Json::obj([
             ("cmd", Json::str("sweep")),
             ("workloads", Json::Arr(vec![Json::str(workload)])),
             ("modes", Json::Arr(vec![Json::str("off"), Json::str(mode)])),
-            ("len", Json::from(cfg.len as u64)),
+            ("len", Json::from(cfg.len)),
         ]),
         // 10 % fault campaigns.
         _ => Json::obj([
             ("cmd", Json::str("campaign")),
             ("workload", Json::str(workload)),
             ("mode", Json::str(mode)),
-            ("len", Json::from(cfg.len as u64)),
+            ("len", Json::from(cfg.len)),
             ("rates", Json::Arr(vec![Json::from(0.0)])),
         ]),
     };

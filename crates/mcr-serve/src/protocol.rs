@@ -909,79 +909,45 @@ pub fn render_panic(id: Option<&str>, config_key: Option<u64>) -> String {
     .to_string()
 }
 
-/// Renders a completed job: the sweep results (re-parsed through the
-/// codec, so the response is one compact line), optional per-point
-/// reliability (campaigns), optional merged telemetry.
+/// Renders a completed job as one compact line: the sweep results
+/// (with each point's full lossless report when requested), optional
+/// per-point reliability (campaigns), optional merged telemetry.
 pub fn render_job_ok(
     req: &JobRequest,
     results: &SweepResults,
     queue_ms: u64,
     service_ms: u64,
 ) -> String {
-    let mut result = match Json::parse(&results.to_json()) {
-        Ok(v) => v,
-        Err(e) => {
-            return render_error(&format!("internal: results emitter produced bad JSON: {e}"))
-        }
-    };
+    let mut result = results.to_json();
     if req.full_reports {
-        if let Err(e) = attach_full_reports(&mut result, results) {
-            return render_error(&e);
+        if let Some(Json::Arr(items)) = result.get_mut("points") {
+            for (item, p) in items.iter_mut().zip(&results.points) {
+                item.set("report", mcr_store::report_to_json(&p.report));
+            }
         }
     }
-    let mut members: Vec<(String, Json)> = vec![
-        ("status".into(), Json::str("ok")),
-        (
-            "id".into(),
-            req.id.as_deref().map(Json::str).unwrap_or(Json::Null),
-        ),
-        ("kind".into(), Json::str(req.spec.kind())),
-        ("queue_ms".into(), Json::from(queue_ms)),
-        ("service_ms".into(), Json::from(service_ms)),
-        ("result".into(), result),
-    ];
+    let mut reply = Json::obj([
+        ("status", Json::str("ok")),
+        ("id", req.id.as_deref().map_or(Json::Null, Json::str)),
+        ("kind", Json::str(req.spec.kind())),
+        ("queue_ms", Json::from(queue_ms)),
+        ("service_ms", Json::from(service_ms)),
+        ("result", result),
+    ]);
     if let JobSpec::Campaign(_) = req.spec {
-        members.push(("reliability".into(), reliability_json(results)));
+        reply.set("reliability", reliability_json(results));
         // An empty shard of a campaign has nothing to compare; it is
         // vacuously clean (the dispatcher judges the merged whole).
         let reads0 = results.points.first().map(|p| p.report.reads_done);
         let clean = results.points.iter().all(|p| {
             p.report.reliability.retention_escapes == 0 && Some(p.report.reads_done) == reads0
         });
-        members.push(("clean".into(), Json::from(clean)));
+        reply.set("clean", Json::from(clean));
     }
     if req.metrics {
-        match Json::parse(&telemetry_to_json(&results.merged_telemetry())) {
-            Ok(v) => members.push(("telemetry".into(), v)),
-            Err(e) => {
-                return render_error(&format!(
-                    "internal: telemetry emitter produced bad JSON: {e}"
-                ))
-            }
-        }
+        reply.set("telemetry", telemetry_to_json(&results.merged_telemetry()));
     }
-    Json::Obj(members).to_string()
-}
-
-/// Adds each point's full lossless report (the `mcr-store` codec
-/// object) as a `"report"` member of the corresponding entry of the
-/// response's `result.points` array.
-fn attach_full_reports(result: &mut Json, results: &SweepResults) -> Result<(), String> {
-    let Json::Obj(members) = result else {
-        return Err("internal: results document is not an object".into());
-    };
-    let Some((_, Json::Arr(items))) = members.iter_mut().find(|(k, _)| k == "points") else {
-        return Err("internal: results document has no points array".into());
-    };
-    if items.len() != results.points.len() {
-        return Err("internal: results document points mismatch".into());
-    }
-    for (item, p) in items.iter_mut().zip(&results.points) {
-        if !item.set("report", mcr_store::report_to_json(&p.report)) {
-            return Err("internal: results point is not an object".into());
-        }
-    }
-    Ok(())
+    reply.to_string()
 }
 
 /// Per-point reliability summary for campaign responses.

@@ -547,10 +547,10 @@ fn store_json(shared: &Shared) -> Json {
             let st = store.stats();
             Json::obj([
                 ("backend", Json::str("disk")),
-                ("shards", Json::from(st.shards as u64)),
+                ("shards", Json::from(st.shards)),
                 ("warm_entries", Json::from(shared.warm_entries)),
                 ("disk_entries", Json::from(st.disk_entries())),
-                ("hot_entries", Json::from(st.hot_entries as u64)),
+                ("hot_entries", Json::from(st.hot_entries)),
                 ("hits_hot", Json::from(st.hits_hot.get())),
                 ("hits_disk", Json::from(st.hits_disk.get())),
                 ("misses", Json::from(st.misses.get())),

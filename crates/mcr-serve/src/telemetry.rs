@@ -3,6 +3,7 @@
 //! simulator's own instrumentation, so the `stats` answer and the
 //! shutdown summary are deterministic integer state.
 
+use mcr_dram::histogram_json;
 use mcr_telemetry::{Counter, LatencyHistogram};
 use sim_json::Json;
 
@@ -42,19 +43,6 @@ pub struct ServeTelemetry {
     pub service_ms: LatencyHistogram,
     /// Pure simulation wall time per job, in milliseconds.
     pub sim_ms: LatencyHistogram,
-}
-
-/// Renders a histogram the way the simulator's JSON reports do:
-/// count/sum plus resolved percentiles (`null` when empty).
-fn histogram_json(h: &LatencyHistogram) -> Json {
-    let pct = |v: Option<u64>| v.map(Json::from).unwrap_or(Json::Null);
-    Json::obj([
-        ("count", Json::from(h.count())),
-        ("sum", Json::from(h.sum())),
-        ("p50", pct(h.p50())),
-        ("p95", pct(h.p95())),
-        ("max", pct(h.max())),
-    ])
 }
 
 impl ServeTelemetry {
@@ -113,7 +101,19 @@ mod tests {
         assert_eq!(v.get("draining").and_then(Json::as_bool), Some(false));
         let svc = v.get("service_ms").expect("histogram present");
         assert_eq!(svc.get("count").and_then(Json::as_u64), Some(2));
-        assert!(svc.get("p50").and_then(Json::as_u64).is_some());
+        // The shared summary: order statistics, mean and buckets too.
+        assert_eq!(svc.get("min").and_then(Json::as_u64), Some(12));
+        assert_eq!(svc.get("max").and_then(Json::as_u64), Some(40));
+        assert_eq!(svc.get("mean").and_then(Json::as_f64), Some(26.0));
+        let p99 = svc.get("p99").and_then(Json::as_u64).expect("p99");
+        assert!((12..=40).contains(&p99), "p99 = {p99}");
+        let buckets = |h: &Json| h.get("buckets").and_then(Json::as_array).map(<[Json]>::len);
+        assert_eq!(buckets(svc), Some(2), "12 and 40 land in two buckets");
+        // An empty histogram: null statistics, no buckets.
+        let idle = v.get("sim_ms").expect("histogram present");
+        assert_eq!(idle.get("mean"), Some(&Json::Null));
+        assert_eq!(idle.get("p99"), Some(&Json::Null));
+        assert_eq!(buckets(idle), Some(0));
         // Single-line, reparsable.
         let line = v.to_string();
         assert!(!line.contains('\n'));

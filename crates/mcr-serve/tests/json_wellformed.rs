@@ -1,19 +1,30 @@
-//! The in-tree parser validating the workspace's hand-rolled JSON
-//! emitters: everything the simulator writes (`telemetry_to_json`,
-//! `SweepResults::to_json`, the golden snapshots on disk) must parse
-//! back through `sim-json` — the same codec the service uses on the
+//! The in-tree parser reading back every document the simulator
+//! writes (`telemetry_to_json`, `SweepResults::to_json`, the golden
+//! snapshots on disk, which include the `CompareTable::to_json` text):
+//! the pretty text of each must parse back to the value it was written
+//! from, through `sim-json`, the same codec the service uses on the
 //! wire.
 
 use mcr_dram::{telemetry_to_json, McrMode, SweepBuilder, System, SystemConfig, Telemetry};
 use sim_json::Json;
+
+/// Parses `doc`'s pretty text and its compact text, and requires both
+/// to equal `doc`.
+fn reparses(what: &str, doc: &Json) -> Json {
+    let text = doc.to_pretty();
+    let v = Json::parse(&text).unwrap_or_else(|e| panic!("{what} JSON is malformed: {e}\n{text}"));
+    assert_eq!(&v, doc, "{what}: pretty text does not read back");
+    let compact = Json::parse(&doc.to_string()).expect("compact text parses");
+    assert_eq!(&compact, doc, "{what}: compact text does not read back");
+    v
+}
 
 #[test]
 fn telemetry_emitter_output_parses() {
     // A real instrumented run, so the histograms are populated.
     let cfg = SystemConfig::single_core("libq", 3_000).with_mode(McrMode::headline());
     let report = System::try_build(&cfg).expect("valid config").run();
-    let doc = telemetry_to_json(&report.telemetry);
-    let v = Json::parse(&doc).unwrap_or_else(|e| panic!("telemetry JSON is malformed: {e}\n{doc}"));
+    let v = reparses("telemetry", &telemetry_to_json(&report.telemetry));
     let sched = v.get("sched").expect("sched section");
     assert!(
         sched.get("cas_read").and_then(Json::as_u64).unwrap_or(0) > 0,
@@ -29,8 +40,11 @@ fn telemetry_emitter_output_parses() {
     );
 
     // The all-default (empty) telemetry exercises the null percentiles.
-    let empty = telemetry_to_json(&Telemetry::default());
-    Json::parse(&empty).unwrap_or_else(|e| panic!("empty telemetry JSON is malformed: {e}"));
+    let empty = reparses("empty telemetry", &telemetry_to_json(&Telemetry::default()));
+    let h = empty.get("act_to_data").expect("histogram");
+    for key in ["min", "max", "mean", "p50", "p95", "p99"] {
+        assert_eq!(h.get(key), Some(&Json::Null), "empty histogram {key}");
+    }
 }
 
 #[test]
@@ -43,15 +57,14 @@ fn sweep_results_emitter_output_parses() {
         .build()
         .expect("valid grid")
         .run();
-    let doc = results.to_json();
-    let v = Json::parse(&doc).unwrap_or_else(|e| panic!("sweep JSON is malformed: {e}\n{doc}"));
+    let v = reparses("sweep", &results.to_json());
     let points = v
         .get("points")
         .and_then(Json::as_array)
         .expect("points array");
     assert_eq!(points.len(), 2);
     for p in points {
-        // The emitter writes cache keys as fixed-width hex strings.
+        // Cache keys are written as fixed-width hex strings.
         let key = p.get("key").and_then(Json::as_str).expect("key field");
         assert_eq!(key.len(), 16, "16-hex-digit key, got {key:?}");
         assert!(p.get("exec_cpu_cycles").and_then(Json::as_u64).is_some());
@@ -75,15 +88,9 @@ fn every_golden_snapshot_parses() {
             "golden {} must be a container",
             path.display()
         );
-        // Round-trip through the codec stays parseable (the serializer
-        // normalizes whitespace, so only semantic stability is checked).
-        let again = Json::parse(&v.to_string()).expect("re-serialized golden parses");
-        assert_eq!(
-            again,
-            v,
-            "golden {} drifts through the codec",
-            path.display()
-        );
+        // Round-trip through both writers stays parseable (they
+        // normalize whitespace, so only semantic stability is checked).
+        reparses(&path.display().to_string(), &v);
         checked += 1;
     }
     assert!(checked > 0, "no golden snapshots found in {dir}");

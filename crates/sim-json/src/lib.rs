@@ -5,11 +5,12 @@
 //! precedent: the workspace must stay offline-buildable, so instead of
 //! pulling `serde_json` we pin a small, fully-tested codec here.
 //!
-//! The workspace historically only *emitted* JSON by hand
-//! (`mcr_dram::telemetry_to_json`, `SweepResults::to_json`, the golden
-//! snapshots). This crate adds the other direction — parsing — which the
-//! `mcr-serve` protocol needs, and which lets tests validate the
-//! hand-rolled emitters instead of trusting them.
+//! Every document the workspace writes is built as a [`Json`] value and
+//! turned into text by one of two writers: the compact [`Json::write`]
+//! (protocol lines, store entries) or [`Json::to_pretty`] (the CLI's
+//! `--json`/`--metrics` output, the compare table, the bench files and
+//! the golden snapshots). The parser serves the `mcr-serve` protocol
+//! and the tests that read those documents back.
 //!
 //! Design points:
 //!
@@ -22,9 +23,8 @@
 //! * **Typed, panic-free errors.** Every malformed input maps to a
 //!   [`JsonError`] carrying a [`JsonErrorKind`] and a byte offset; the
 //!   parser never panics (fuzzed in `tests/proptests.rs`).
-//! * **Finite numbers only.** JSON has no NaN/Infinity literals; the
-//!   serializer renders non-finite numbers as `null`, matching the
-//!   workspace's existing emitters.
+//! * **Finite numbers only.** JSON has no NaN/Infinity literals; both
+//!   writers render non-finite numbers as `null`.
 //! * **Bounded recursion.** Nesting deeper than [`MAX_DEPTH`] is a typed
 //!   error, not a stack overflow.
 //!
@@ -143,6 +143,24 @@ impl Json {
 
     /// Appends the compact serialization to `out`.
     pub fn write(&self, out: &mut String) {
+        self.write_inline(",", ":", out);
+    }
+
+    /// The human-readable serialization. Containers at depth 0 and 1
+    /// put one member per line, indented two spaces per level (an empty
+    /// one is `[`, a newline, then its closing bracket at its own
+    /// indent); deeper containers stay on one line with `, ` and `: `
+    /// separators. The text ends with a newline and re-parses to an
+    /// equal value.
+    pub fn to_pretty(&self) -> String {
+        let mut out = String::new();
+        self.write_pretty(0, &mut out);
+        out.push('\n');
+        out
+    }
+
+    /// One-line serialization with the given item and key separators.
+    fn write_inline(&self, comma: &str, colon: &str, out: &mut String) {
         match self {
             Json::Null => out.push_str("null"),
             Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
@@ -152,9 +170,9 @@ impl Json {
                 out.push('[');
                 for (i, v) in items.iter().enumerate() {
                     if i > 0 {
-                        out.push(',');
+                        out.push_str(comma);
                     }
-                    v.write(out);
+                    v.write_inline(comma, colon, out);
                 }
                 out.push(']');
             }
@@ -162,21 +180,61 @@ impl Json {
                 out.push('{');
                 for (i, (k, v)) in members.iter().enumerate() {
                     if i > 0 {
-                        out.push(',');
+                        out.push_str(comma);
                     }
                     write_str(k, out);
-                    out.push(':');
-                    v.write(out);
+                    out.push_str(colon);
+                    v.write_inline(comma, colon, out);
                 }
                 out.push('}');
             }
         }
     }
 
+    fn write_pretty(&self, depth: usize, out: &mut String) {
+        /// Containers nested this deep or deeper stay on one line.
+        const INLINE_DEPTH: usize = 2;
+        let (open, close, entries): (char, char, Vec<(Option<&str>, &Json)>) = match self {
+            Json::Arr(items) if depth < INLINE_DEPTH => {
+                ('[', ']', items.iter().map(|v| (None, v)).collect())
+            }
+            Json::Obj(members) if depth < INLINE_DEPTH => (
+                '{',
+                '}',
+                members.iter().map(|(k, v)| (Some(k.as_str()), v)).collect(),
+            ),
+            _ => return self.write_inline(", ", ": ", out),
+        };
+        let indent = "  ".repeat(depth);
+        out.push(open);
+        for (i, (key, value)) in entries.into_iter().enumerate() {
+            out.push_str(if i > 0 { ",\n" } else { "\n" });
+            out.push_str(&indent);
+            out.push_str("  ");
+            if let Some(key) = key {
+                write_str(key, out);
+                out.push_str(": ");
+            }
+            value.write_pretty(depth + 1, out);
+        }
+        out.push('\n');
+        out.push_str(&indent);
+        out.push(close);
+    }
+
     /// Object member lookup (first match); `None` on non-objects.
     pub fn get(&self, key: &str) -> Option<&Json> {
         match self {
             Json::Obj(members) => members.iter().find(|(k, _)| k == key).map(|(_, v)| v),
+            _ => None,
+        }
+    }
+
+    /// Mutable object member lookup (first match); `None` on
+    /// non-objects.
+    pub fn get_mut(&mut self, key: &str) -> Option<&mut Json> {
+        match self {
+            Json::Obj(members) => members.iter_mut().find(|(k, _)| k == key).map(|(_, v)| v),
             _ => None,
         }
     }
@@ -294,14 +352,27 @@ impl Json {
     }
 }
 
+/// A finite number, or [`Json::Null`] for NaN and the infinities (the
+/// value the writers print for them), so the value equals its own
+/// re-parse.
 impl From<f64> for Json {
     fn from(n: f64) -> Json {
-        Json::Num(n)
+        if n.is_finite() {
+            Json::Num(n)
+        } else {
+            Json::Null
+        }
     }
 }
 
 impl From<u64> for Json {
     fn from(n: u64) -> Json {
+        Json::Num(n as f64)
+    }
+}
+
+impl From<usize> for Json {
+    fn from(n: usize) -> Json {
         Json::Num(n as f64)
     }
 }
@@ -323,9 +394,9 @@ impl fmt::Display for Json {
     }
 }
 
-/// Renders a number the way the workspace's hand-rolled emitters do:
-/// whole in-range values as integers, everything else via Rust's
-/// shortest-round-trip float formatting, non-finite as `null`.
+/// Renders a number: whole in-range values as integers, everything
+/// else via Rust's shortest-round-trip float formatting, non-finite as
+/// `null`.
 fn write_num(n: f64, out: &mut String) {
     use fmt::Write as _;
     if !n.is_finite() {
@@ -760,6 +831,60 @@ mod tests {
     fn non_finite_serializes_as_null() {
         assert_eq!(Json::Num(f64::NAN).to_string(), "null");
         assert_eq!(Json::Num(f64::INFINITY).to_string(), "null");
+        assert_eq!(Json::from(f64::NEG_INFINITY), Json::Null);
+        assert_eq!(Json::from(0.5), Json::Num(0.5));
+    }
+
+    #[test]
+    fn pretty_expands_two_levels_and_inlines_the_rest() {
+        let v = parse(r#"{"n":1,"rows":[{"a":[1,2.5],"o":{"deep":[null,{}]}},[]],"m":{"k":true}}"#);
+        let want = r#"{
+  "n": 1,
+  "rows": [
+    {"a": [1, 2.5], "o": {"deep": [null, {}]}},
+    []
+  ],
+  "m": {
+    "k": true
+  }
+}
+"#;
+        assert_eq!(v.to_pretty(), want);
+    }
+
+    #[test]
+    fn pretty_empty_containers() {
+        assert_eq!(parse("[]").to_pretty(), "[\n]\n");
+        assert_eq!(parse("{}").to_pretty(), "{\n}\n");
+        assert_eq!(
+            parse(r#"{"a":[],"o":{}}"#).to_pretty(),
+            "{\n  \"a\": [\n  ],\n  \"o\": {\n  }\n}\n"
+        );
+        // A scalar document is just the value and a newline.
+        assert_eq!(Json::from(7u64).to_pretty(), "7\n");
+    }
+
+    #[test]
+    fn pretty_escapes_strings_and_nulls_non_finite_numbers() {
+        let deep = Json::Arr(vec![Json::Num(f64::INFINITY), Json::str("\r")]);
+        let v = Json::obj([
+            ("s\"k", Json::str("a\"b\\c\n\t\u{1}")),
+            ("nan", Json::Num(f64::NAN)),
+            ("deep", Json::Arr(vec![deep])),
+        ]);
+        let want = r#"{
+  "s\"k": "a\"b\\c\n\t\u0001",
+  "nan": null,
+  "deep": [
+    [null, "\r"]
+  ]
+}
+"#;
+        assert_eq!(v.to_pretty(), want);
+        // Non-finite numbers read back as null; everything else is equal.
+        let back = parse(want);
+        assert_eq!(back.get("nan"), Some(&Json::Null));
+        assert_eq!(back.get("s\"k"), v.get("s\"k"));
     }
 
     #[test]
@@ -786,7 +911,12 @@ mod tests {
         assert_eq!(v.get("a").and_then(Json::as_u64), Some(2));
         assert_eq!(v.get("b").and_then(Json::as_str), Some("x"));
         assert_eq!(v.as_object().map(<[_]>::len), Some(2));
+        if let Some(a) = v.get_mut("a") {
+            *a = Json::from(3u64);
+        }
+        assert_eq!(v.get("a").and_then(Json::as_u64), Some(3));
         let mut not_obj = Json::from(true);
+        assert!(not_obj.get_mut("a").is_none());
         assert!(!not_obj.set("a", Json::Null));
         assert_eq!(not_obj, Json::Bool(true));
     }

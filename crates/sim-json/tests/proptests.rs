@@ -1,6 +1,6 @@
 //! Property tests for the JSON codec, seeded by `sim-rng` (the
 //! workspace's deterministic PRNG): round-trip identity over generated
-//! documents, serialization stability, and a malformed-input fuzz loop
+//! documents through both writers, serialization stability, and a malformed-input fuzz loop
 //! asserting the parser returns typed errors and never panics.
 
 use sim_json::{Json, JsonError};
@@ -81,8 +81,21 @@ fn parse_serialize_round_trips_generated_values() {
 }
 
 #[test]
+fn pretty_text_round_trips_generated_values() {
+    let mut rng = SmallRng::seed_from_u64(0x9e77_1e55);
+    for case in 0..2_000 {
+        let v = gen_value(&mut rng, 0);
+        let text = v.to_pretty();
+        let back =
+            Json::parse(&text).unwrap_or_else(|e| panic!("case {case}: {e} while parsing {text}"));
+        assert_eq!(back, v, "case {case}: pretty round trip diverged on {text}");
+        assert_eq!(back.to_pretty(), text, "case {case}");
+    }
+}
+
+#[test]
 fn workspace_emitter_shapes_round_trip() {
-    // The shapes the hand-rolled emitters produce: nested objects with
+    // The shapes the simulator's documents take: nested objects with
     // histogram arrays, hex-string keys, nulls for empty percentiles.
     let doc = r#"{"jobs": 2, "wall_ns": 123456789, "points": [{"label": "libq [4/4x/100%reg]", "key": "00ff00ff00ff00ff", "edp": 0.00012345, "p50": null, "buckets": [[40, 2], [60, 1]]}]}"#;
     let v = Json::parse(doc).expect("emitter-shaped doc parses");
